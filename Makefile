@@ -19,7 +19,7 @@ race:
 	$(GO) test -race ./...
 
 # Parallel-search benchmarks: greedy, the exhaustive oracle, cluster
-# placement, the fleet period loop (cached and uncached), and placement
+# placement, the fleet period loop, and placement
 # local search across worker counts (results are bit-identical; only
 # wall-clock changes). BenchmarkFleetScale is excluded here — it is a
 # full 1000-machine sweep; run it via bench-record (or bench-smoke,

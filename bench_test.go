@@ -273,69 +273,57 @@ func BenchmarkPlacementLocalSearch(b *testing.B) {
 }
 
 // BenchmarkFleetPeriodCached measures a steady-state fleet monitoring
-// period — no arrivals, no departures, no drift — with the machine-score
-// cache on vs off. With the cache, a steady period performs zero fresh
-// core.Recommend runs on the unchanged machines (logged below); without
-// it, every machine is re-scored every period.
+// period — no arrivals, no departures, no drift — served by the
+// machine-score cache: a steady period performs zero fresh
+// core.Recommend runs on the unchanged machines (logged below).
 func BenchmarkFleetPeriodCached(b *testing.B) {
 	schema := tpch.Schema(1)
-	for _, disable := range []bool{false, true} {
-		f := NewFleet(&FleetOptions{MigrationCost: 5, Delta: 0.1, DisableScoreCache: disable})
-		for _, p := range []MachineProfile{{}, {}, {CPUHz: 1.1e9, MemoryBytes: 4 << 30}} {
-			if _, err := f.AddServer(p); err != nil {
-				b.Fatal(err)
-			}
+	f := NewFleet(&FleetOptions{MigrationCost: 5, Delta: 0.1})
+	for _, p := range []MachineProfile{{}, {}, {CPUHz: 1.1e9, MemoryBytes: 4 << 30}} {
+		if _, err := f.AddServer(p); err != nil {
+			b.Fatal(err)
 		}
-		for i, q := range []int{1, 18, 6, 5, 14, 17} {
-			flavor := PostgreSQL
-			if i%2 == 1 {
-				flavor = DB2
-			}
-			if _, err := f.AddTenant(fmt.Sprintf("t%d", i), flavor, schema, []string{tpch.QueryText(q)}); err != nil {
-				b.Fatal(err)
-			}
+	}
+	for i, q := range []int{1, 18, 6, 5, 14, 17} {
+		flavor := PostgreSQL
+		if i%2 == 1 {
+			flavor = DB2
 		}
-		// Warm to steady state: the managers converge and, with the cache
-		// on, a period stops producing fresh advisor runs.
-		for p := 0; p < 6; p++ {
+		if _, err := f.AddTenant(fmt.Sprintf("t%d", i), flavor, schema, []string{tpch.QueryText(q)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm to steady state: the managers converge and a period stops
+	// producing fresh advisor runs.
+	for p := 0; p < 6; p++ {
+		if _, err := f.Period(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A steady period must stay allocation-bounded: the orchestrator's
+	// scratch pool reuses the per-period bookkeeping buffers, so what
+	// remains is the fleet layer's per-call work (tenant inputs, the
+	// report wrapper) — measured at ~83 allocs; the bound leaves headroom
+	// without letting the pool silently stop pooling.
+	const maxSteadyAllocs = 160
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := f.Period(); err != nil {
+			b.Fatal(err)
+		}
+	}); allocs > maxSteadyAllocs {
+		b.Fatalf("steady period allocates %.0f objects, want ≤ %d (scratch pooling regressed?)", allocs, maxSteadyAllocs)
+	}
+	b.Run("cache=on", func(b *testing.B) {
+		_, _, runsBefore := f.ScoreStats()
+		for i := 0; i < b.N; i++ {
 			if _, err := f.Period(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		name := "cache=on"
-		if disable {
-			name = "cache=off"
-		}
-		if !disable {
-			// A steady period must stay allocation-bounded: the
-			// orchestrator's scratch pool reuses the per-period bookkeeping
-			// buffers, so what remains is the fleet layer's per-call work
-			// (tenant inputs, the report wrapper) — measured at ~83 allocs;
-			// the bound leaves headroom without letting the pool silently
-			// stop pooling.
-			const maxSteadyAllocs = 160
-			if allocs := testing.AllocsPerRun(10, func() {
-				if _, err := f.Period(); err != nil {
-					b.Fatal(err)
-				}
-			}); allocs > maxSteadyAllocs {
-				b.Fatalf("steady period allocates %.0f objects, want ≤ %d (scratch pooling regressed?)", allocs, maxSteadyAllocs)
-			}
-		}
-		b.Run(name, func(b *testing.B) {
-			_, _, runsBefore := f.ScoreStats()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.Period(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if !disable {
-				_, _, runsAfter := f.ScoreStats()
-				b.Logf("fresh advisor runs over %d steady period(s): %d (want 0)", b.N, runsAfter-runsBefore)
-			}
-		})
-	}
+		b.StopTimer()
+		_, _, runsAfter := f.ScoreStats()
+		b.Logf("fresh advisor runs over %d steady period(s): %d (want 0)", b.N, runsAfter-runsBefore)
+	})
 }
 
 // BenchmarkFleetPeriodIncremental measures a drifting fleet period —

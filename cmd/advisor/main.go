@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/profiling"
 	"repro/internal/tpcc"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -79,10 +80,8 @@ func main() {
 		"fleet mode: seed each period's placement search from the incumbent assignment")
 	cellsFlag := flag.String("cells", "0",
 		"partition multi-machine placement into cells of at most this many servers (0 disables; \"auto\" turns on fleet-mode latency-driven cell auto-tuning)")
-	cellRebalance := flag.Int("cell-rebalance", 0,
-		"fleet mode: migrate at most this many tenants per period from the hottest cell to the coldest (0 disables)")
 	rebalanceBudget := flag.Int("rebalance-budget", 0,
-		"fleet mode: per-period budget of ranked cross-cell rebalance moves; supersedes -cell-rebalance when > 0")
+		"fleet mode: per-period budget of ranked cross-cell rebalance moves, hottest cell pairs first (0 disables)")
 	cellTarget := flag.Duration("cell-latency-target", 0,
 		"fleet mode with -cells=auto: per-cell p95 compute-time target (0 = 50ms)")
 	parallelism := flag.Int("parallelism", runtime.GOMAXPROCS(0),
@@ -100,7 +99,7 @@ func main() {
 	restorePath := flag.String("restore", "",
 		"fleet mode: restore orchestrator state from this snapshot file before the first period (periods continue from the snapshot's counter)")
 	flag.Parse()
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,7 +151,6 @@ func main() {
 			cacheSweep:       *cacheSweep,
 			incremental:      *incremental,
 			cells:            cells,
-			cellRebalance:    *cellRebalance,
 			rebalanceBudget:  *rebalanceBudget,
 			autoTune:         autoTune,
 			cellTarget:       *cellTarget,
@@ -176,8 +174,8 @@ func main() {
 	if *incremental {
 		fatal(fmt.Errorf("-incremental requires fleet mode (-periods > 1)"))
 	}
-	if *cellRebalance != 0 || *rebalanceBudget != 0 {
-		fatal(fmt.Errorf("-cell-rebalance/-rebalance-budget require fleet mode (-periods > 1)"))
+	if *rebalanceBudget != 0 {
+		fatal(fmt.Errorf("-rebalance-budget requires fleet mode (-periods > 1)"))
 	}
 	if autoTune || *cellTarget != 0 {
 		fatal(fmt.Errorf("-cells=auto/-cell-latency-target require fleet mode (-periods > 1)"))
@@ -261,7 +259,6 @@ type fleetConfig struct {
 	cacheSweep       int
 	incremental      bool
 	cells            int
-	cellRebalance    int
 	rebalanceBudget  int
 	autoTune         bool
 	cellTarget       time.Duration
@@ -312,7 +309,6 @@ func runFleet(specs []tenantSpec, qosOf map[string]vdesign.QoS, machines []vdesi
 		ScoreCacheSweep:       cfg.cacheSweep,
 		Incremental:           cfg.incremental,
 		Cells:                 cfg.cells,
-		CellRebalance:         cfg.cellRebalance,
 		RebalanceBudget:       cfg.rebalanceBudget,
 		AutoTuneCells:         cfg.autoTune,
 		CellLatencyTarget:     cfg.cellTarget,

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/profiling"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 		return
 	}
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(fmt.Errorf("benchrecord: %w", err))
 	}

@@ -81,12 +81,6 @@ type FleetOptions struct {
 	// so arrivals that fit alone but conflict as a batch are split
 	// deterministically in registration order.
 	AdmitQoS bool
-	// DisableScoreCache turns off the fleet's machine-score cache (and
-	// the estimate cache riding with it). By default every per-machine
-	// advisor run is memoized across candidates and periods, so unchanged
-	// machines are never re-scored; reports are bit-identical with the
-	// cache on or off.
-	DisableScoreCache bool
 	// ScoreCacheCapacity bounds the machine-score cache to at most this
 	// many entries, evicting least-recently-used first (0 = unbounded).
 	// Long-lived fleets otherwise grow the cache with every configuration
@@ -122,26 +116,22 @@ type FleetOptions struct {
 	// tuning work concurrently under Parallelism. Reports stay
 	// bit-identical across Parallelism, and a fleet of at most Cells
 	// servers behaves bit-identically to Cells == 0. Tenants migrate
-	// across cells only through CellRebalance (or a pin), so a cell size
+	// across cells only through RebalanceBudget (or a pin), so a cell size
 	// keeps each period's search O(cells × cellSize²) instead of
 	// O(servers²).
 	Cells int
-	// CellRebalance bounds cross-cell rebalancing: after each period's
-	// placement work, at most this many tenants are migrated from the
-	// hottest cell (by mean machine load) to the coldest, each move
-	// priced against MigrationCost like any other migration and adopted
+	// RebalanceBudget bounds cross-cell rebalancing: the per-period budget
+	// of cross-cell moves (and failed attempts) the rebalancer may spend.
+	// After each period's placement work the pass ranks every (hot, cold)
+	// cell pair by pressure gap (mean machine load) and drains the largest
+	// gaps first, so a budget above 1 lets several correlated hot spots
+	// drain in one period instead of one per period; a budget of 1 moves
+	// at most one tenant, from the hottest cell to the coldest. Each move
+	// is priced against MigrationCost like any other migration and adopted
 	// only when the estimated improvement strictly beats the penalty.
 	// Moves take effect next period and are reported by
 	// FleetPeriodReport.RebalanceMoves/Rebalanced. 0 (the default)
 	// disables rebalancing: tenants then never leave their cell.
-	CellRebalance int
-	// RebalanceBudget, when > 0, supersedes CellRebalance with the same
-	// meaning: the per-period budget of cross-cell moves (and failed
-	// attempts) the rebalancer may spend. The pass ranks every
-	// (hot, cold) cell pair by pressure gap and drains the largest gaps
-	// first, so a budget above 1 lets several correlated hot spots drain
-	// in one period instead of one per period. A budget of 1 behaves
-	// exactly like CellRebalance == 1.
 	RebalanceBudget int
 	// AutoTuneCells turns on latency-driven cell-size auto-tuning: the
 	// orchestrator observes each cell's per-period compute time and,
@@ -447,23 +437,18 @@ func (f *Fleet) orchOptions() fleet.Options {
 		// size so the tuner starts from one cell and splits downward.
 		cells = len(f.keys)
 	}
-	budget := f.opts.CellRebalance
-	if f.opts.RebalanceBudget > 0 {
-		budget = f.opts.RebalanceBudget
-	}
 	return fleet.Options{
 		Profiles:              f.keys,
 		MigrationCost:         f.opts.MigrationCost,
 		Core:                  f.coreOpts(),
 		LocalSearch:           f.opts.LocalSearch,
 		AdmitQoS:              f.opts.AdmitQoS,
-		DisableScoreCache:     f.opts.DisableScoreCache,
 		CacheCapacity:         f.opts.ScoreCacheCapacity,
 		EstimateCacheCapacity: f.opts.EstimateCacheCapacity,
 		CacheSweep:            f.opts.ScoreCacheSweep,
 		Incremental:           f.opts.Incremental,
 		Cells:                 cells,
-		CellRebalance:         budget,
+		RebalanceBudget:       f.opts.RebalanceBudget,
 		AutoTuneCells:         f.opts.AutoTuneCells,
 		CellP95Target:         f.opts.CellLatencyTarget.Seconds(),
 		Metrics:               f.opts.Metrics,
@@ -535,8 +520,7 @@ func (f *Fleet) Report() []*FleetPeriodReport {
 // ScoreStats reports the fleet's machine-score cache counters — runs
 // served from the cache (hits), cacheable configurations scored fresh
 // (misses), and total fresh advisor executions (runs) — accumulated over
-// every period so far. All zeros before the first period or with
-// FleetOptions.DisableScoreCache.
+// every period so far. All zeros before the first period.
 func (f *Fleet) ScoreStats() (hits, misses, runs int64) {
 	if f.orch == nil {
 		return 0, 0, 0
@@ -696,7 +680,7 @@ func (r *FleetPeriodReport) DirtyCells() []int {
 func (r *FleetPeriodReport) ReplayedCells() int { return r.rep.ReplayedCells }
 
 // RebalanceMoves counts cross-cell migrations adopted by this period's
-// rebalancing pass (FleetOptions.CellRebalance); the moves take effect
+// rebalancing pass (FleetOptions.RebalanceBudget); the moves take effect
 // next period and are not counted in Migrations.
 func (r *FleetPeriodReport) RebalanceMoves() int { return r.rep.RebalanceMoves }
 

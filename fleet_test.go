@@ -325,73 +325,38 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// The fleet's score cache must not change a single report — only how
-// often the advisor runs. Same scenario, cache on vs off, compared
-// period by period; the cached run must also show real hit traffic and
-// a steady final period with zero fresh advisor runs.
+// The fleet's score cache serves repeated periods: over unchanged
+// workloads it sees real hit traffic, and a steady final period performs
+// zero fresh advisor runs. That the cache never changes a report (cache
+// on ≡ off) is asserted where the switch lives, in internal/fleet's
+// parity suites.
 func TestFleetScoreCacheParityAndSteadyState(t *testing.T) {
-	run := func(disable bool) (*Fleet, []*FleetPeriodReport, []*FleetTenant) {
-		f := NewFleet(&FleetOptions{
-			MigrationCost:     5,
-			Delta:             0.1,
-			DisableScoreCache: disable,
-		})
-		for _, p := range []MachineProfile{{}, smallProfile()} {
-			if _, err := f.AddServer(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		schema := tpch.Schema(1)
-		var handles []*FleetTenant
-		for i, q := range []int{1, 6, 14} {
-			h, err := f.AddTenant(fmt.Sprintf("t%d", i), PostgreSQL, schema, []string{tpch.QueryText(q)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles = append(handles, h)
-		}
-		var reports []*FleetPeriodReport
-		for period := 1; period <= 4; period++ {
-			rep, err := f.Period()
-			if err != nil {
-				t.Fatalf("period %d: %v", period, err)
-			}
-			reports = append(reports, rep)
-		}
-		return f, reports, handles
-	}
-	cached, cachedReps, cachedHandles := run(false)
-	plain, plainReps, plainHandles := run(true)
-	for p := range cachedReps {
-		a, b := cachedReps[p], plainReps[p]
-		if a.TotalCost() != b.TotalCost() || a.Migrations() != b.Migrations() ||
-			a.Replaced() != b.Replaced() || a.CandidateCost() != b.CandidateCost() ||
-			a.StayCost() != b.StayCost() {
-			t.Fatalf("period %d diverges with cache on vs off", p+1)
-		}
-		for i := range cachedHandles {
-			if a.ServerOf(cachedHandles[i]) != b.ServerOf(plainHandles[i]) {
-				t.Fatalf("period %d tenant %d server diverges", p+1, i)
-			}
-			c1, m1 := a.Shares(cachedHandles[i])
-			c2, m2 := b.Shares(plainHandles[i])
-			if c1 != c2 || m1 != m2 {
-				t.Fatalf("period %d tenant %d shares diverge", p+1, i)
-			}
+	f := NewFleet(&FleetOptions{MigrationCost: 5, Delta: 0.1})
+	for _, p := range []MachineProfile{{}, smallProfile()} {
+		if _, err := f.AddServer(p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	hits, _, runsBefore := cached.ScoreStats()
+	schema := tpch.Schema(1)
+	for i, q := range []int{1, 6, 14} {
+		if _, err := f.AddTenant(fmt.Sprintf("t%d", i), PostgreSQL, schema, []string{tpch.QueryText(q)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for period := 1; period <= 4; period++ {
+		if _, err := f.Period(); err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+	}
+	hits, _, runsBefore := f.ScoreStats()
 	if hits == 0 {
 		t.Fatal("repeated periods over unchanged workloads should hit the cache")
 	}
-	if h, m, r := plain.ScoreStats(); h != 0 || m != 0 || r != 0 {
-		t.Fatalf("disabled cache must report zeros, got %d/%d/%d", h, m, r)
-	}
 	// A further steady-state period performs zero fresh advisor runs.
-	if _, err := cached.Period(); err != nil {
+	if _, err := f.Period(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, runsAfter := cached.ScoreStats(); runsAfter != runsBefore {
+	if _, _, runsAfter := f.ScoreStats(); runsAfter != runsBefore {
 		t.Fatalf("steady-state period ran %d fresh advisor runs, want 0", runsAfter-runsBefore)
 	}
 }

@@ -159,6 +159,13 @@ func NewManager(n int, opts core.Options) *Manager {
 	return m
 }
 
+// Fresh reports whether the manager holds no accumulated state, exactly
+// as NewManager(0, …) returns it: no tenants, no previous allocations,
+// and no input mode locked by a completed period.
+func (m *Manager) Fresh() bool {
+	return m.mode == modeUnset && len(m.tenants) == 0 && len(m.prev) == 0
+}
+
 // State is an opaque deep snapshot of a manager's accumulated per-tenant
 // state. A single Period call is already transactional on its own; the
 // Snapshot/Restore pair extends that guarantee to callers coordinating

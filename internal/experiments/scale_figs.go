@@ -20,11 +20,12 @@ func init() {
 // tenants and measures, per size: the build period (every tenant
 // arrives at once), a steady period under delta periods (every cell
 // replays — near-zero work), the same steady period under full
-// recompute (Options.DisableDelta — the cache-served pre-delta cost),
+// recompute (every cell marked dirty through SetOptions — the
+// cache-served pre-delta cost),
 // a single-tenant drift period under both modes (the delta-locality
 // headline: one dirty cell vs every cell), and a 2% churn drift period.
 // At the smaller sizes it also times the non-cellular (Cells: 0,
-// delta off) fleet — the quadratic baseline the two-level search is
+// full recompute) fleet — the quadratic baseline the two-level search is
 // measured against; at 1000 machines that baseline is intractable by
 // construction, which is the point.
 //
@@ -74,15 +75,15 @@ type ScalePoint struct {
 	// SteadyCells counts dirty cells during the steady period (0 when
 	// delta tracking recognizes the period as drift-free).
 	SteadyCells int `json:"steady_cells"`
-	// SteadyFullNs is the same steady period re-timed with delta
-	// periods disabled (DisableDelta): every cell recomputes, served by
-	// the score cache — the pre-delta steady cost.
+	// SteadyFullNs is the same steady period re-timed under full
+	// recompute: every cell recomputes, served by the score cache — the
+	// pre-delta steady cost.
 	SteadyFullNs int64 `json:"steady_full_ns"`
 	// Drift1Ns times a period in which exactly one tenant drifted (its
 	// fingerprint changed); Drift1Cells counts the cells that period
 	// dirtied (the delta-locality claim: 1). Drift1FullNs is the same
-	// one-tenant drift with delta periods disabled — every cell
-	// recomputes even though only one changed.
+	// one-tenant drift under full recompute — every cell recomputes even
+	// though only one changed.
 	Drift1Ns     int64 `json:"drift1_ns"`
 	Drift1Cells  int   `json:"drift1_cells"`
 	Drift1FullNs int64 `json:"drift1_full_ns"`
@@ -112,8 +113,8 @@ type ScalePoint struct {
 	HitRate float64 `json:"hit_rate"`
 	// Migrations counts server moves during the drift period.
 	Migrations int `json:"migrations"`
-	// Baseline* time the same build + steady periods with Cells: 0 and
-	// delta off, present only when Baseline is true (small sizes).
+	// Baseline* time the same build + steady periods with Cells: 0 under
+	// full recompute, present only when Baseline is true (small sizes).
 	Baseline         bool  `json:"baseline"`
 	BaselineBuildNs  int64 `json:"baseline_build_ns,omitempty"`
 	BaselineSteadyNs int64 `json:"baseline_steady_ns,omitempty"`
@@ -145,10 +146,11 @@ type ScaleHistory struct {
 	Entries []ScaleEntry `json:"entries"`
 }
 
-// scaleFleetTenant builds one synthetic tenant for the scaling sweep:
-// the same analytic inverse-linear family as the fleet-cache figure,
-// with deterministic per-index parameters (the drift period churns by
-// substituting tenants at fresh indexes).
+// scaleFleetTenant builds one synthetic tenant for the scaling sweep and
+// the fleet-cache figure: an analytic inverse-linear workload whose
+// measured cost equals its estimate, so the managers converge quickly and
+// the steady state is genuine, with deterministic per-index parameters
+// (the drift period churns by substituting tenants at fresh indexes).
 func scaleFleetTenant(i int, profiles []string, factors map[string]float64) fleet.Tenant {
 	return scaleDriftedTenant(i, 0, profiles, factors)
 }
@@ -223,7 +225,7 @@ func histPercentilesNs(h *obs.Histogram) (p50, p95, p99 int64) {
 
 // runScalePoint measures one fleet size at the given cell setting:
 // build, delta steady, one-tenant drift (delta on), full-recompute
-// steady + one-tenant drift (delta off), and 2% churn drift.
+// steady + one-tenant drift (every cell dirty), and 2% churn drift.
 func runScalePoint(machines, tenantsPer, cells int) (p ScalePoint, err error) {
 	profiles, factors := scaleProfiles(machines)
 	n := tenantsPer * machines
@@ -290,34 +292,22 @@ func runScalePoint(machines, tenantsPer, cells int) (p ScalePoint, err error) {
 	}
 
 	// Full-recompute comparison: the same steady and one-tenant-drift
-	// periods with delta periods off — every cell runs, served by the
-	// score cache (this is where the cache hit rate is measured).
-	full := op
-	full.DisableDelta = true
-	if err := orch.SetOptions(full); err != nil {
-		return p, fmt.Errorf("disable delta (%d machines): %w", machines, err)
-	}
-	if _, err := orch.Period(inputs); err != nil { // re-warm after SetOptions dirtied everything
-		return p, fmt.Errorf("full warm period (%d machines): %w", machines, err)
+	// periods with every cell recomputing, served by the score cache
+	// (this is where the cache hit rate is measured).
+	if _, err := recomputePeriod(orch, op, inputs, "full warm period"); err != nil {
+		return p, err
 	}
 	hitsBefore, missesBefore, _ := orch.ScoreStats()
-	start = time.Now()
-	if _, err := orch.Period(inputs); err != nil {
-		return p, fmt.Errorf("full steady period (%d machines): %w", machines, err)
+	if p.SteadyFullNs, err = recomputePeriod(orch, op, inputs, "full steady period"); err != nil {
+		return p, err
 	}
-	p.SteadyFullNs = time.Since(start).Nanoseconds()
 	hits, misses, _ := orch.ScoreStats()
 	if lookups := (hits - hitsBefore) + (misses - missesBefore); lookups > 0 {
 		p.HitRate = float64(hits-hitsBefore) / float64(lookups)
 	}
 	inputs[0] = scaleDriftedTenant(0, 2, profiles, factors)
-	start = time.Now()
-	if _, err := orch.Period(inputs); err != nil {
-		return p, fmt.Errorf("full drift1 period (%d machines): %w", machines, err)
-	}
-	p.Drift1FullNs = time.Since(start).Nanoseconds()
-	if err := orch.SetOptions(op); err != nil {
-		return p, fmt.Errorf("re-enable delta (%d machines): %w", machines, err)
+	if p.Drift1FullNs, err = recomputePeriod(orch, op, inputs, "full drift1 period"); err != nil {
+		return p, err
 	}
 	if err := settle("full"); err != nil {
 		return p, err
@@ -407,8 +397,23 @@ func runScalePoint(machines, tenantsPer, cells int) (p ScalePoint, err error) {
 	return p, nil
 }
 
-// runScaleBaseline times the non-cellular, non-delta fleet (the flat
-// quadratic baseline): build plus one steady period.
+// recomputePeriod runs one period with every cell recomputing and
+// returns its wall-clock: SetOptions with the unchanged options first
+// marks every cell dirty (untimed), so no cell replays. Errors name the
+// period.
+func recomputePeriod(orch *fleet.Orchestrator, op fleet.Options, inputs []fleet.Tenant, name string) (int64, error) {
+	if err := orch.SetOptions(op); err != nil {
+		return 0, fmt.Errorf("%s (%d machines): %w", name, orch.Servers(), err)
+	}
+	start := time.Now()
+	if _, err := orch.Period(inputs); err != nil {
+		return 0, fmt.Errorf("%s (%d machines): %w", name, orch.Servers(), err)
+	}
+	return time.Since(start).Nanoseconds(), nil
+}
+
+// runScaleBaseline times the non-cellular fleet under full recompute
+// (the flat quadratic baseline): build plus one steady period.
 func runScaleBaseline(machines, tenantsPer int) (buildNs, steadyNs int64, err error) {
 	profiles, factors := scaleProfiles(machines)
 	n := tenantsPer * machines
@@ -417,32 +422,26 @@ func runScaleBaseline(machines, tenantsPer int) (buildNs, steadyNs int64, err er
 		inputs[i] = scaleFleetTenant(i, profiles, factors)
 	}
 	op := scaleOptions(profiles, 0)
-	op.DisableDelta = true
 	orch, err := fleet.New(op)
 	if err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	if _, err := orch.Period(inputs); err != nil {
-		return 0, 0, fmt.Errorf("baseline build period (%d machines): %w", machines, err)
+	if buildNs, err = recomputePeriod(orch, op, inputs, "baseline build period"); err != nil {
+		return 0, 0, err
 	}
-	buildNs = time.Since(start).Nanoseconds()
 	// Warm until the caches fully cover a drift-free period (fresh-run
 	// count stops moving), then time one steady period.
 	for warm := 0; warm < 8; warm++ {
 		_, _, before := orch.ScoreStats()
-		if _, err := orch.Period(inputs); err != nil {
-			return 0, 0, fmt.Errorf("baseline warm period (%d machines): %w", machines, err)
+		if _, err := recomputePeriod(orch, op, inputs, "baseline warm period"); err != nil {
+			return 0, 0, err
 		}
 		if _, _, after := orch.ScoreStats(); after == before {
 			break
 		}
 	}
-	start = time.Now()
-	if _, err := orch.Period(inputs); err != nil {
-		return 0, 0, fmt.Errorf("baseline steady period (%d machines): %w", machines, err)
-	}
-	return buildNs, time.Since(start).Nanoseconds(), nil
+	steadyNs, err = recomputePeriod(orch, op, inputs, "baseline steady period")
+	return buildNs, steadyNs, err
 }
 
 // fleetScaleRecord runs the sweep at the given shape; tests call it
@@ -707,7 +706,7 @@ func FleetScale(env *Env) (*Result, error) {
 	res.AddSeries("flat-build-ms", baseBuild)
 	res.Note("cells of ≤%d machines; tenants = %d × machines; flat (Cells: 0) baseline timed through %d machines",
 		scaleCellSize, scaleTenantsPerMachine, scaleBaselineMax)
-	res.Note("steady/drift1 series are delta periods (replay); the -full variants disable delta and recompute every cell")
+	res.Note("steady/drift1 series are delta periods (replay); the -full variants recompute every cell")
 	res.Note("drift10 is the correlated drift: one tenant in each of min(10, cells) distinct cells drifts in one period")
 	res.Note("wall-clock series are environment-dependent; steady-runs, steady-cells, drift1-cells, drift10-cells, hit-rate, and migrations are deterministic")
 	return res, nil

@@ -1,40 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
 func init() {
 	register("fleet-cache", FleetScaleCache)
-}
-
-// scaleTenant builds one synthetic fleet tenant for the scaling figure:
-// an analytic inverse-linear workload (deterministic parameters from the
-// index) whose measured cost equals its estimate, so the managers
-// converge quickly and the steady state is genuine.
-func scaleTenant(i int, profiles []string, factors map[string]float64) fleet.Tenant {
-	alpha := 10 + float64((i*37)%60)
-	gamma := 5 + float64((i*23)%40)
-	id := fmt.Sprintf("w%d", i)
-	return fleet.Tenant{
-		ID:             id,
-		Fingerprint:    fmt.Sprintf("%s@0", id),
-		AvgEstPerQuery: alpha + gamma,
-		EstFor: func(profile string) core.Estimator {
-			f := factors[profile]
-			return core.EstimatorFunc(func(a core.Allocation) (float64, string, error) {
-				return f * (alpha/a[0] + gamma/a[1]), "p", nil
-			})
-		},
-		Measure: func(server int, a core.Allocation) (float64, error) {
-			f := factors[profiles[server]]
-			return f * (alpha/a[0] + gamma/a[1]), nil
-		},
-	}
 }
 
 // FleetScaleCache is the incremental-scoring scaling figure: steady-state
@@ -64,30 +36,34 @@ func FleetScaleCache(env *Env) (*Result, error) {
 		}
 		inputs := make([]fleet.Tenant, 2*servers)
 		for i := range inputs {
-			inputs[i] = scaleTenant(i, profiles, factors)
+			inputs[i] = scaleFleetTenant(i, profiles, factors)
 		}
-		build := func(disable bool) (*fleet.Orchestrator, error) {
-			return fleet.New(fleet.Options{
+		optsOf := func(disable bool) fleet.Options {
+			return fleet.Options{
 				Profiles:          profiles,
 				MigrationCost:     5,
 				Core:              core.Options{Delta: 0.1, Parallelism: searchParallelism},
 				DisableScoreCache: disable,
-				// This figure isolates the score cache: delta periods would
-				// otherwise replay the steady period without consulting it
-				// at all (that saving has its own figure, fleet-scale).
-				DisableDelta: true,
-			})
+			}
+		}
+		// Every period recomputes every cell. This figure isolates the
+		// score cache: a delta period would otherwise replay the steady
+		// period without consulting it at all (that saving has its own
+		// figure, fleet-scale).
+		period := func(o *fleet.Orchestrator, disable bool) (ms float64, err error) {
+			ns, err := recomputePeriod(o, optsOf(disable), inputs, "fleet-cache period")
+			return float64(ns) / 1e6, err
 		}
 		// Cached fleet: warm to steady state (a period with zero fresh
 		// runs), then measure one steady period.
-		cached, err := build(false)
+		cached, err := fleet.New(optsOf(false))
 		if err != nil {
 			return nil, err
 		}
 		warm := 0
 		for ; warm < 10; warm++ {
 			_, _, before := cached.ScoreStats()
-			if _, err := cached.Period(inputs); err != nil {
+			if _, err := period(cached, false); err != nil {
 				return nil, err
 			}
 			if _, _, after := cached.ScoreStats(); after == before {
@@ -95,11 +71,10 @@ func FleetScaleCache(env *Env) (*Result, error) {
 			}
 		}
 		hitsBefore, _, runsBefore := cached.ScoreStats()
-		start := time.Now()
-		if _, err := cached.Period(inputs); err != nil {
+		cachedMs, err := period(cached, false)
+		if err != nil {
 			return nil, err
 		}
-		cachedMs := float64(time.Since(start).Microseconds()) / 1000
 		hitsAfter, _, runsAfter := cached.ScoreStats()
 		runsCached = append(runsCached, float64(runsAfter-runsBefore))
 		// Every steady-period cache hit stands in for a fresh advisor run
@@ -108,20 +83,20 @@ func FleetScaleCache(env *Env) (*Result, error) {
 		msCached = append(msCached, cachedMs)
 
 		// Uncached fleet: same warmup length, then time one period.
-		plain, err := build(true)
+		plain, err := fleet.New(optsOf(true))
 		if err != nil {
 			return nil, err
 		}
 		for p := 0; p <= warm; p++ {
-			if _, err := plain.Period(inputs); err != nil {
+			if _, err := period(plain, true); err != nil {
 				return nil, err
 			}
 		}
-		start = time.Now()
-		if _, err := plain.Period(inputs); err != nil {
+		plainMs, err := period(plain, true)
+		if err != nil {
 			return nil, err
 		}
-		msUncached = append(msUncached, float64(time.Since(start).Microseconds())/1000)
+		msUncached = append(msUncached, plainMs)
 
 		res.X = append(res.X, float64(servers))
 	}

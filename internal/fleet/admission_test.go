@@ -184,18 +184,20 @@ func TestFleetIncrementalSteadyMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := 0; p < 4; p++ {
-			if _, err := o.Period(sf.inputs(tenants)); err != nil {
+		reps := make([]*PeriodReport, 4)
+		for p := range reps {
+			if reps[p], err = o.Period(sf.inputs(tenants)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return o.Report()
+		return reps
 	}
 	samePeriodReports(t, "incremental steady", run(false), run(true))
 }
 
 // Incremental mode keeps the steady-state guarantee: after convergence a
-// period performs zero fresh advisor runs, seeded search included.
+// period performs zero fresh advisor runs, seeded search included (the
+// periods recompute, so the search actually runs instead of replaying).
 func TestFleetIncrementalSteadyStateZeroRuns(t *testing.T) {
 	sf := newSimFleet()
 	tenants := baseTenants()
@@ -211,7 +213,7 @@ func TestFleetIncrementalSteadyStateZeroRuns(t *testing.T) {
 	}
 	converge(t, o, sf.inputs(tenants), 8)
 	_, _, before := o.ScoreStats()
-	if _, err := o.Period(sf.inputs(tenants)); err != nil {
+	if err := recomputePeriod(t, o, sf.inputs(tenants)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, after := o.ScoreStats(); after != before {

@@ -75,6 +75,7 @@ func TestFleetSplitMergeReportParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenants := baseTenants()
+	var ctlReps, expReps []*PeriodReport
 	run := func() (*PeriodReport, *PeriodReport) {
 		t.Helper()
 		ins := sf.inputs(tenants)
@@ -86,6 +87,7 @@ func TestFleetSplitMergeReportParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctlReps, expReps = append(ctlReps, a), append(expReps, b)
 		return a, b
 	}
 	for i := 0; i < 5; i++ {
@@ -124,7 +126,7 @@ func TestFleetSplitMergeReportParity(t *testing.T) {
 	run()
 	tenants[4].gamma *= 1.5
 	run()
-	samePeriodReports(t, "after split", ctl.Report(), exp.Report())
+	samePeriodReports(t, "after split", ctlReps, expReps)
 
 	// Merge the halves back; reports stay identical under further drift.
 	exp.mergeCells(c0, nc)
@@ -145,7 +147,7 @@ func TestFleetSplitMergeReportParity(t *testing.T) {
 	tenants[2].alpha *= 1.6
 	run()
 	run()
-	samePeriodReports(t, "after merge", ctl.Report(), exp.Report())
+	samePeriodReports(t, "after merge", ctlReps, expReps)
 }
 
 // The controller end to end: an impossible target splits every working
@@ -178,6 +180,7 @@ func TestFleetAutoTuneController(t *testing.T) {
 
 	tenants := baseTenants()
 	var splits, merges int
+	history := make([][]*PeriodReport, len(orcs))
 	run := func() []*PeriodReport {
 		t.Helper()
 		// Drift every tenant so every cell recomputes and is observed —
@@ -193,6 +196,7 @@ func TestFleetAutoTuneController(t *testing.T) {
 				t.Fatal(err)
 			}
 			reps[i] = rep
+			history[i] = append(history[i], rep)
 		}
 		if a, b := fmt.Sprint(reps[1].CellSplits), fmt.Sprint(reps[2].CellSplits); a != b {
 			t.Fatalf("split decisions diverge across parallelism: %s vs %s", a, b)
@@ -259,8 +263,8 @@ func TestFleetAutoTuneController(t *testing.T) {
 	// cost rollups may differ in the last ULP; all content is exact. The
 	// two tuned runs walk the same partition trajectory and must agree
 	// bit for bit despite the different worker counts.
-	samePeriodContent(t, "autotune vs untuned", ref.Report(), o.Report())
-	samePeriodReports(t, "autotune p1 vs p8", o.Report(), o8.Report())
+	samePeriodContent(t, "autotune vs untuned", history[0], history[1])
+	samePeriodReports(t, "autotune p1 vs p8", history[1], history[2])
 }
 
 // Auto-tune option validation: the controller needs a cell-size bound
@@ -300,7 +304,7 @@ func TestFleetRebalanceBudgetCorrelated(t *testing.T) {
 		op := deltaOptions(sf)
 		op.Profiles = sf.profiles
 		op.MigrationCost = 0.5
-		op.CellRebalance = budget
+		op.RebalanceBudget = budget
 		o, err := New(op)
 		if err != nil {
 			t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"repro/internal/dynmgmt"
 	"repro/internal/obs"
 	"repro/internal/placement"
-	"repro/internal/score"
 )
 
 // cellOpts is the placement-option template for one cell: the cell's
@@ -314,17 +313,16 @@ func (o *Orchestrator) route(tenants []Tenant, ptenants []placement.Tenant, pinn
 // cellOutcome is one cell's share of a period, merged into the fleet
 // PeriodReport in fixed cell order.
 type cellOutcome struct {
-	candidateCost, stayCost     float64
-	lsImprovement               float64
-	shadowGreedy, shadowScratch float64
-	replaced                    bool
-	migrations                  int
-	totalCost, maxDeg           float64
-	qosViolations, rebuilds     int
-	assignment                  map[string]int
-	allocations                 map[string]core.Allocation
-	degradations                map[string]float64
-	machines                    map[int]MachineReport
+	candidateCost, stayCost float64
+	lsImprovement           float64
+	replaced                bool
+	migrations              int
+	totalCost, maxDeg       float64
+	qosViolations, rebuilds int
+	assignment              map[string]int
+	allocations             map[string]core.Allocation
+	degradations            map[string]float64
+	machines                map[int]MachineReport
 }
 
 // periodCell runs one cell's slice of a monitoring period: candidate
@@ -369,17 +367,17 @@ func (o *Orchestrator) periodCell(c int, inputIdxs []int, tenants []Tenant, pten
 	popts := o.cellOpts(c)
 	popts.Core.Parallelism = workers
 	// The candidate run's greedy and local-search phases report directly
-	// under the cell span; the shadow and stay-put runs (below) get their
-	// own child so the phases stay attributable.
+	// under the cell span; the stay-put run (below) gets its own child so
+	// the phases stay attributable.
 	popts.Trace = span
 	var hits0 int64
 	if span != nil {
 		hits0 = o.scores[c].Hits()
 	}
 	if anyPin {
-		// Pins constrain every placement run of this cell: the candidate,
-		// the shadow, and the stay-put pricing run below all hold pinned
-		// tenants on their servers.
+		// Pins constrain every placement run of this cell: the candidate
+		// and the stay-put pricing run below both hold pinned tenants on
+		// their servers.
 		popts.Pinned = lcon
 	}
 	out := &cellOutcome{
@@ -400,18 +398,6 @@ func (o *Orchestrator) periodCell(c int, inputIdxs []int, tenants []Tenant, pten
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: candidate placement: %w", err)
-	}
-	if o.opts.ShadowScratch {
-		sopts := popts
-		sspan := span.Child("shadow")
-		sopts.Trace = sspan
-		shadow, err := placement.Place(lpt, sopts)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shadow scratch placement: %w", err)
-		}
-		sspan.End()
-		out.shadowGreedy = shadow.GreedyCost
-		out.shadowScratch = shadow.TotalCost
 	}
 	out.candidateCost = candidate.TotalCost
 	out.stayCost = candidate.TotalCost
@@ -511,17 +497,11 @@ func (o *Orchestrator) periodCell(c int, inputIdxs []int, tenants []Tenant, pten
 			if est == nil {
 				return nil, fmt.Errorf("fleet: tenant %q has no estimator for profile %q", t.ID, profile)
 			}
-			if t.Fingerprint != "" && o.scores[c] != nil {
-				// Fingerprint the raw estimator so the manager's advisor
-				// run is cacheable (see the flat orchestrator's original
-				// comment); the estimate-cache wrapper also serves the
-				// estimator's grid points from the cell's point cache.
-				if o.estimates[c] != nil {
-					est = o.estimates[c].Estimator(profile, t.Fingerprint, est)
-				} else {
-					est = score.WithFingerprint(est, t.Fingerprint)
-				}
-			}
+			// Fingerprint the raw estimator so the manager's advisor run
+			// is cacheable; the estimate-cache wrapper also serves the
+			// estimator's grid points from the cell's point cache (a nil
+			// cache or an empty fingerprint returns est unwrapped).
+			est = o.estimates[c].Estimator(profile, t.Fingerprint, est)
 			server, measure := gs, t.Measure
 			inputs[k] = dynmgmt.PeriodInput{
 				ID:             t.ID,

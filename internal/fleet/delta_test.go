@@ -195,7 +195,7 @@ func TestFleetDeltaDirtyMatrix(t *testing.T) {
 
 // A replayed steady period touches nothing at all: zero fresh advisor
 // runs AND zero cache traffic — strictly less work than the cache-served
-// recompute DisableDelta would do.
+// recompute a period after SetOptions does.
 func TestFleetDeltaSteadyPeriodDoesZeroWork(t *testing.T) {
 	sf := deltaFleet()
 	o, err := New(deltaOptions(sf))
@@ -217,6 +217,24 @@ func TestFleetDeltaSteadyPeriodDoesZeroWork(t *testing.T) {
 	if len(rep.DirtyCells) != 0 || rep.ReplayedCells == 0 {
 		t.Fatalf("steady period: dirty=%v replayed=%d", rep.DirtyCells, rep.ReplayedCells)
 	}
+}
+
+// runSoakDeltaOff replays the scenario with delta periods off: after
+// every period, SetOptions with the orchestrator's own options marks
+// every cell dirty, so the next period recomputes instead of replaying.
+func runSoakDeltaOff(t *testing.T, scenario [][]*simTenant, opts Options) []*PeriodReport {
+	t.Helper()
+	reps := runSoak(t, scenario, opts, func(_ int, o *Orchestrator) {
+		if err := o.SetOptions(o.opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for p, rep := range reps {
+		if rep.ReplayedCells != 0 {
+			t.Fatalf("delta-off period %d replayed %d cells", p+1, rep.ReplayedCells)
+		}
+	}
+	return reps
 }
 
 // The delta acceptance matrix: the full churn scenario produces
@@ -241,9 +259,7 @@ func TestFleetDeltaParity(t *testing.T) {
 	base.Cells = 2
 	ref := runSoak(t, scenario, base, nil)
 
-	noDelta := base
-	noDelta.DisableDelta = true
-	samePeriodReports(t, "delta off", ref, runSoak(t, scenario, noDelta, nil))
+	samePeriodReports(t, "delta off", ref, runSoakDeltaOff(t, scenario, base))
 
 	p8 := base
 	p8.Core.Parallelism = 8
@@ -255,10 +271,9 @@ func TestFleetDeltaParity(t *testing.T) {
 
 	// And delta periods actually replay: the delta run must skip cells.
 	replayed := 0
-	runSoak(t, scenario, base, func(p int, o *Orchestrator) {
-		reps := o.Report()
-		replayed += reps[len(reps)-1].ReplayedCells
-	})
+	for _, rep := range ref {
+		replayed += rep.ReplayedCells
+	}
 	if replayed == 0 {
 		t.Fatal("delta soak never replayed a cell")
 	}
@@ -268,12 +283,10 @@ func TestFleetDeltaParity(t *testing.T) {
 	// the moves it adopts must be bit-identical across delta replay,
 	// parallelism, and the cache, like every other report field.
 	reb := base
-	reb.CellRebalance = 1
+	reb.RebalanceBudget = 1
 	reb.AutoTuneCells = false
 	refReb := runSoak(t, scenario, reb, nil)
-	rebNoDelta := reb
-	rebNoDelta.DisableDelta = true
-	samePeriodReports(t, "rebalance delta off", refReb, runSoak(t, scenario, rebNoDelta, nil))
+	samePeriodReports(t, "rebalance delta off", refReb, runSoakDeltaOff(t, scenario, reb))
 	rebP8 := reb
 	rebP8.Core.Parallelism = 8
 	samePeriodReports(t, "rebalance p8", refReb, runSoak(t, scenario, rebP8, nil))
@@ -281,12 +294,12 @@ func TestFleetDeltaParity(t *testing.T) {
 
 // Cross-cell rebalancing drains a lopsided fleet: tenants pinned into
 // one cell are migrated to the idle cell once the pins lift, at most
-// CellRebalance per period, effective the following period, with both
+// RebalanceBudget per period, effective the following period, with both
 // cells recomputing and the moves reported.
-func TestFleetCellRebalance(t *testing.T) {
+func TestFleetRebalanceDrainsLopsidedFleet(t *testing.T) {
 	sf := deltaFleet()
 	op := deltaOptions(sf)
-	op.CellRebalance = 2
+	op.RebalanceBudget = 2
 	o, err := New(op)
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +337,8 @@ func TestFleetCellRebalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.RebalanceMoves > op.CellRebalance {
-			t.Fatalf("period moved %d tenants, bound is %d", rep.RebalanceMoves, op.CellRebalance)
+		if rep.RebalanceMoves > op.RebalanceBudget {
+			t.Fatalf("period moved %d tenants, bound is %d", rep.RebalanceMoves, op.RebalanceBudget)
 		}
 		if rep.RebalanceMoves != len(rep.Rebalanced) {
 			t.Fatalf("RebalanceMoves %d but Rebalanced %v", rep.RebalanceMoves, rep.Rebalanced)
@@ -380,8 +393,8 @@ func TestFleetPinValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "pinned to server") {
 		t.Fatalf("out-of-range pin: %v", err)
 	}
-	if len(o.Report()) != 0 {
-		t.Fatal("failed period left history behind")
+	if o.period != 0 {
+		t.Fatalf("failed period advanced the period counter to %d", o.period)
 	}
 }
 
@@ -492,6 +505,52 @@ func TestFleetTopologyEdits(t *testing.T) {
 	}
 }
 
+// A cell whose stored outcome a topology edit dropped still resets its
+// managers when it empties: after RemoveServer retires one machine of a
+// cell, every remaining tenant of that cell departs, and the machine
+// that hosted them holds a fresh manager again.
+func TestFleetEmptiedCellResetsManagersAfterRemoveServer(t *testing.T) {
+	sf := deltaFleet()
+	o, err := New(deltaOptions(sf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := baseTenants()
+	settle(t, o, sf.inputs(tenants), 12)
+	cur := o.Assignment()
+	c := o.CellOf(cur["t0"])
+	var servers []int
+	for s := 0; s < o.Servers(); s++ {
+		if o.CellOf(s) == c {
+			servers = append(servers, s)
+		}
+	}
+	keep, drop := servers[0], servers[1]
+	var stay []*simTenant
+	for _, st := range tenants {
+		if o.CellOf(cur[st.id]) == c {
+			st.pin = keep + 1 // drain drop onto keep
+		} else {
+			stay = append(stay, st)
+		}
+	}
+	if _, err := o.Period(sf.inputs(tenants)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.RemoveServer(drop); err != nil {
+		t.Fatal(err)
+	}
+	if o.machines[keep].mgr.Fresh() {
+		t.Fatal("setup: the kept machine should hold its tenants' state")
+	}
+	if _, err := o.Period(sf.inputs(stay)); err != nil {
+		t.Fatal(err)
+	}
+	if !o.machines[keep].mgr.Fresh() {
+		t.Fatalf("server %d hosts no tenant but keeps manager state", keep)
+	}
+}
+
 // SetOptions polices the fixed fields and applies the tunable ones.
 func TestFleetSetOptions(t *testing.T) {
 	sf := deltaFleet()
@@ -527,8 +586,7 @@ func TestFleetSetOptions(t *testing.T) {
 	// The auto-tuner and its target are live-tunable mid-run.
 	good := deltaOptions(sf)
 	good.MigrationCost = math.Inf(1)
-	good.CellRebalance = 1
-	good.DisableDelta = true
+	good.RebalanceBudget = 1
 	good.AutoTuneCells = true
 	good.CellP95Target = 0.25
 	if err := o.SetOptions(good); err != nil {

@@ -121,9 +121,6 @@ type Options struct {
 	// per-machine manager; its Parallelism/Ctx bound all concurrent
 	// estimation. Gains/Limits must be unset — QoS rides on the tenants.
 	Core core.Options
-	// Tau and ErrThreshold override the managers' §6 thresholds when > 0.
-	Tau          float64
-	ErrThreshold float64
 	// LocalSearch bounds the post-greedy local-search refinement of every
 	// placement run this orchestrator performs (see
 	// placement.Options.LocalSearch); 0 disables it.
@@ -147,7 +144,9 @@ type Options struct {
 	// per-machine advisor runs across greedy candidates, local search,
 	// the stay-put pricing run, and — most importantly — across periods,
 	// so unchanged machines are never re-scored; results are
-	// bit-identical with it on or off.
+	// bit-identical with it on or off. The uncached orchestrator is the
+	// reference the cache-parity suites and the fleet-cache figure
+	// compare against.
 	DisableScoreCache bool
 	// CacheCapacity bounds the machine-score cache to at most this many
 	// entries with least-recently-used eviction (0 = unbounded). A
@@ -174,12 +173,6 @@ type Options struct {
 	// across Parallelism. Most useful with LocalSearch > 0 (without it
 	// the candidate is simply the incumbent plus greedy arrivals).
 	Incremental bool
-	// ShadowScratch additionally computes the greedy-from-scratch
-	// candidate each period and records its objectives in
-	// PeriodReport.ShadowGreedyCost/ShadowScratchCost without affecting
-	// any decision — the test hook that verifies incremental mode never
-	// ends worse than scratch packing.
-	ShadowScratch bool
 	// Cells bounds a placement cell to at most this many machines
 	// (0 disables partitioning — the whole fleet is one cell, the flat
 	// orchestrator). On larger fleets the servers are partitioned by
@@ -194,7 +187,7 @@ type Options struct {
 	// more than one cell, Tenant.EstFor and Tenant.Measure must tolerate
 	// concurrent calls for tenants of different cells.
 	Cells int
-	// CellRebalance bounds cross-cell rebalancing: after each period's
+	// RebalanceBudget bounds cross-cell rebalancing: after each period's
 	// dirty cells settle, a draining pass ranks every (hot cell, cold
 	// cell) pressure gap — mean machine load above vs below — and
 	// migrates tenants down the largest gaps, at most this many adopted
@@ -210,7 +203,7 @@ type Options struct {
 	// PeriodReport.RebalanceMoves/Rebalanced, not Migrations. 0 (the
 	// default) disables rebalancing: tenants then never leave their cell,
 	// reproducing the pre-rebalance orchestrator exactly.
-	CellRebalance int
+	RebalanceBudget int
 	// AutoTuneCells closes the observe→tune loop over the partition
 	// itself (requires Cells > 0): a controller reads each cell's
 	// observed compute latency — the same per-cell durations the period
@@ -232,12 +225,6 @@ type Options struct {
 	// the floor's hysteresis gap keeps a merged cell from immediately
 	// re-splitting.
 	CellP95Target float64
-	// DisableDelta turns off delta periods: every cell recomputes every
-	// period, as if no cell were ever clean. Reports are bit-identical
-	// with delta on or off (a clean cell's replayed outcome is provably
-	// the outcome a recompute would produce); the switch exists for
-	// benchmarking the saved work and for differential tests.
-	DisableDelta bool
 	// Metrics optionally attaches an observability registry: the
 	// orchestrator registers its metric families (period latency, dirty/
 	// replayed cells, migrations, rejections by reason, cache and
@@ -338,11 +325,6 @@ type PeriodReport struct {
 	// RejectedReasons[i] says why Rejected[i] was turned away.
 	Rejected        []string
 	RejectedReasons []RejectReason
-	// ShadowGreedyCost and ShadowScratchCost are the greedy-from-scratch
-	// candidate's objective before and after local search, computed and
-	// recorded only under Options.ShadowScratch (both zero otherwise);
-	// they influence no decision.
-	ShadowGreedyCost, ShadowScratchCost float64
 	// MaxDegradation is the worst per-tenant degradation;  QoSViolations
 	// counts tenants past their limit (a best-effort placement may exceed
 	// unsatisfiable limits, as §7.5 shows).
@@ -356,14 +338,14 @@ type PeriodReport struct {
 	// DirtyCells lists the cells that actually recomputed this period
 	// (ascending); ReplayedCells counts the clean cells whose previous
 	// outcome was replayed instead. Under delta periods a steady period
-	// has no dirty cells and a one-tenant drift dirties one; with
-	// Options.DisableDelta every occupied cell is dirty. These two fields
-	// describe work done, not results — every other report field is
-	// bit-identical whether a cell recomputed or replayed.
+	// has no dirty cells and a one-tenant drift dirties one; after
+	// SetOptions every occupied cell is dirty. These two fields describe
+	// work done, not results — every other report field is bit-identical
+	// whether a cell recomputed or replayed.
 	DirtyCells    []int
 	ReplayedCells int
 	// RebalanceMoves counts cross-cell migrations adopted by this
-	// period's rebalancing pass (Options.CellRebalance); Rebalanced lists
+	// period's rebalancing pass (Options.RebalanceBudget); Rebalanced lists
 	// the moved tenants' IDs in move order. The moves are committed into
 	// the assignment and take effect next period — this period's
 	// Assignment still shows the pre-move servers — and are not counted
@@ -396,12 +378,6 @@ type machine struct {
 func newMachine(opts Options, profile string, scores *score.Cache, met dynmgmt.Metrics) *machine {
 	m := &machine{mgr: dynmgmt.NewManager(0, opts.Core), scores: scores}
 	m.mgr.Metrics = met
-	if opts.Tau > 0 {
-		m.mgr.Tau = opts.Tau
-	}
-	if opts.ErrThreshold > 0 {
-		m.mgr.ErrThreshold = opts.ErrThreshold
-	}
 	// The hook captures each period's advisor result for the fleet report
 	// and serves the run through the machine-score cache when every
 	// estimator in the basis carries a fingerprint — refined models
@@ -427,7 +403,6 @@ type Orchestrator struct {
 	machines   []*machine
 	assignment map[string]int
 	period     int
-	history    []*PeriodReport
 	// The cell partition (see Options.Cells and cells.go): cells lists
 	// each cell's global server indexes, cellOf maps a server to its
 	// cell, localIdx to its index within that cell, and cellProfiles
@@ -450,7 +425,9 @@ type Orchestrator struct {
 	// computed outcome, the tenant input sequence it was computed for,
 	// and whether that outcome is a proven fixed point (settled). lastSig
 	// records each placed tenant's input signature from the previous
-	// period, the drift detector.
+	// period, the drift detector. Neither is snapshotted: a restored cell
+	// has no stored outcome, so it recomputes in the first resumed period,
+	// which rewrites both before anything reads them.
 	delta   []cellDelta
 	lastSig map[string]tenantSig
 	// lat[c] is cell c's compute-latency feedback (see autotune.go): a
@@ -481,8 +458,8 @@ func checkOptions(opts Options) error {
 		return fmt.Errorf("fleet: negative cache bound (capacity %d/%d, sweep %d)",
 			opts.CacheCapacity, opts.EstimateCacheCapacity, opts.CacheSweep)
 	}
-	if opts.CellRebalance < 0 {
-		return fmt.Errorf("fleet: negative cell rebalance bound %d", opts.CellRebalance)
+	if opts.RebalanceBudget < 0 {
+		return fmt.Errorf("fleet: negative rebalance budget %d", opts.RebalanceBudget)
 	}
 	if opts.CellP95Target < 0 {
 		return fmt.Errorf("fleet: negative cell p95 target %v", opts.CellP95Target)
@@ -631,11 +608,6 @@ func (o *Orchestrator) Assignment() map[string]int {
 	return out
 }
 
-// Report returns the per-period history so far.
-func (o *Orchestrator) Report() []*PeriodReport {
-	return append([]*PeriodReport(nil), o.history...)
-}
-
 // validatePins checks each pinned tenant's target against the live
 // topology.
 func (o *Orchestrator) validatePins(tenants []Tenant) error {
@@ -776,8 +748,9 @@ func canonicalAssignment(cand, pinned []int, profiles []string) []int {
 // into the merged report, bit-identically to what a recompute would
 // produce. A steady period therefore recomputes zero cells, and a
 // one-tenant drift recomputes one — the period's cost is proportional
-// to what changed, not to fleet size. Options.DisableDelta forces every
-// cell to recompute; the report differs only in DirtyCells/ReplayedCells.
+// to what changed, not to fleet size. SetOptions (even with unchanged
+// options) forces every cell to recompute in the next period; the report
+// differs only in DirtyCells/ReplayedCells.
 //
 // Period is transactional at the fleet level: on any error the
 // assignment, the period count, and every machine manager's accumulated
@@ -869,7 +842,7 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 	sc.cellArr = scratchSlice(sc.cellArr, nc)
 	cellArr := sc.cellArr
 	for c := range dirty {
-		if o.opts.DisableDelta || !o.delta[c].settled || o.delta[c].out == nil || cellDep[c] > 0 {
+		if !o.delta[c].settled || o.delta[c].out == nil || cellDep[c] > 0 {
 			dirty[c] = true
 		}
 	}
@@ -1046,8 +1019,8 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 	// at any Parallelism, and bit-identical to a full recompute (a
 	// replayed outcome is exactly what the recompute would produce).
 	if len(runCells) > 0 {
-		// Copy out of the scratch pool: DirtyCells lives on in the report
-		// history.
+		// Copy out of the scratch pool: DirtyCells lives on in the
+		// returned report.
 		rep.DirtyCells = append([]int(nil), runCells...)
 	}
 	rep.ReplayedCells = replayed
@@ -1065,8 +1038,6 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 		rep.CandidateCost += out.candidateCost
 		rep.StayCost += out.stayCost
 		rep.LocalSearchImprovement += out.lsImprovement
-		rep.ShadowGreedyCost += out.shadowGreedy
-		rep.ShadowScratchCost += out.shadowScratch
 		if out.replaced {
 			rep.Replaced = true
 		}
@@ -1091,11 +1062,11 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 		}
 	}
 
-	// Cross-cell rebalancing (Options.CellRebalance): evaluated over the
+	// Cross-cell rebalancing (Options.RebalanceBudget): evaluated over the
 	// merged outcome, committed into the assignment below so the moves
 	// take effect next period. See rebalance.go.
 	var rspan *obs.Span
-	if span != nil && o.opts.CellRebalance > 0 {
+	if span != nil && o.opts.RebalanceBudget > 0 {
 		rspan = span.Child("rebalance")
 	}
 	moves, err := o.rebalance(rep, tenants, ptenants)
@@ -1122,30 +1093,26 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 			settled: settledOutcome(outs[c], cellArr[c], cellDep[c])}
 	}
 
-	// Commit: the new assignment, and fresh managers for machines that
-	// emptied out (their remaining per-tenant state belongs to tenants
-	// that moved away or departed). Only cells that ran can have newly
-	// emptied machines — a clean cell's empty machines were reset when
-	// the cell last ran — plus cells whose whole population departed
-	// this period (dirty, but with nothing left to run).
+	// Commit: the new assignment, and a fresh manager on every machine
+	// that hosts no tenant — whatever per-tenant state it still holds
+	// belongs to tenants that moved away or departed. Every machine is
+	// checked, not just the cells that ran: a cell whose whole population
+	// departed may have no stored outcome (a restored cell has none), and
+	// a cell emptied by a rebalance move saw no departure. Machines that
+	// are already fresh are left alone, so a steady period allocates
+	// nothing here.
 	sc.occupied = scratchSlice(sc.occupied, len(o.machines))
 	occupied := sc.occupied
 	for _, s := range rep.Assignment {
 		occupied[s] = true
 	}
-	resetEmptied := func(c int) {
-		for _, s := range o.cells[c] {
-			if !occupied[s] {
-				o.machines[s] = newMachine(o.opts, o.opts.Profiles[s], o.scores[c], o.met.dyn)
-			}
+	for s, m := range o.machines {
+		if c := o.cellOf[s]; c >= 0 && !occupied[s] && !m.mgr.Fresh() {
+			o.machines[s] = newMachine(o.opts, o.opts.Profiles[s], o.scores[c], o.met.dyn)
 		}
-	}
-	for _, c := range runCells {
-		resetEmptied(c)
 	}
 	for c := 0; c < nc; c++ {
 		if len(cellInputs[c]) == 0 && o.delta[c].out != nil {
-			resetEmptied(c)
 			o.delta[c] = cellDelta{}
 		}
 	}
@@ -1192,7 +1159,6 @@ func (o *Orchestrator) Period(tenants []Tenant) (*PeriodReport, error) {
 	}
 	o.period++
 	rep.Period = o.period
-	o.history = append(o.history, rep)
 	if k := o.opts.CacheSweep; k > 0 {
 		// Commit-time sweep, recomputing cells only: everything their
 		// runs touched is stamped with the current generation, so what

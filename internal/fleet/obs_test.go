@@ -39,7 +39,7 @@ func TestFleetObservabilityParity(t *testing.T) {
 }
 
 // The period counters agree with the reports they summarize: after any
-// run, each counter equals the corresponding sum over Report(), the
+// run, each counter equals the corresponding sum over the reports, the
 // latency histogram holds one observation per period, and every
 // period's dirty+replayed cells account for all occupied cells.
 func TestFleetMetricsMatchReports(t *testing.T) {
@@ -52,12 +52,12 @@ func TestFleetMetricsMatchReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	scenario := soakScenario(7, 25)
+	reps := make([]*PeriodReport, len(scenario))
 	for p, tenants := range scenario {
-		if _, err := o.Period(sf.inputs(tenants)); err != nil {
+		if reps[p], err = o.Period(sf.inputs(tenants)); err != nil {
 			t.Fatalf("period %d: %v", p+1, err)
 		}
 	}
-	reps := o.Report()
 	var dirty, replayed, migrations, arrivals, departures, rejections int
 	for _, rep := range reps {
 		dirty += len(rep.DirtyCells)
@@ -218,7 +218,7 @@ func TestFleetPeriodSpanShape(t *testing.T) {
 	// period that moves tenants carries the rebalance span.
 	op2 := deltaOptions(sf)
 	op2.LocalSearch = 2
-	op2.CellRebalance = 2
+	op2.RebalanceBudget = 2
 	op2.TraceSink = op.TraceSink
 	o2, err := New(op2)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestFleetPeriodSpanShape(t *testing.T) {
 		}
 		rb := spanChildren(last, "rebalance")
 		if len(rb) != 1 {
-			t.Fatalf("period span has %d rebalance children, want 1 (CellRebalance is on)", len(rb))
+			t.Fatalf("period span has %d rebalance children, want 1 (RebalanceBudget is on)", len(rb))
 		}
 		moves, ok := rb[0].Attr("moves")
 		if !ok {

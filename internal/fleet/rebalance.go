@@ -19,8 +19,8 @@ package fleet
 // next-ranked gap is tried, so one stubborn hot spot cannot starve the
 // others — correlated hot spots (several cells heated at once) drain in
 // one period instead of one cell per period. Both adopted moves and
-// failed attempts count against the Options.CellRebalance budget, so a
-// period's rebalancing work stays O(CellRebalance) machine scorings
+// failed attempts count against Options.RebalanceBudget, so a
+// period's rebalancing work stays O(RebalanceBudget) machine scorings
 // plus cheap pressure scans, never a fleet-wide search; at budget 1 the
 // first failure ends the pass, which reproduces the classic single-move
 // hottest→coldest rebalancer exactly. Adopted moves are committed into
@@ -41,14 +41,14 @@ type rebalanceMove struct {
 	from, to int
 }
 
-// rebalance evaluates up to Options.CellRebalance cross-cell moves over
+// rebalance evaluates up to Options.RebalanceBudget cross-cell moves over
 // the merged period outcome. It reads rep and the orchestrator's
 // partition but mutates nothing — the caller applies the returned moves
 // at commit. Deterministic: every scan is index-ordered, ties break
 // toward the smaller index or ID.
 func (o *Orchestrator) rebalance(rep *PeriodReport, tenants []Tenant, ptenants []placement.Tenant) ([]rebalanceMove, error) {
 	nc := len(o.cells)
-	if o.opts.CellRebalance <= 0 || nc <= 1 {
+	if o.opts.RebalanceBudget <= 0 || nc <= 1 {
 		return nil, nil
 	}
 	capacity := placement.Capacity(placement.Options{Profiles: o.opts.Profiles, Core: o.opts.Core})
@@ -99,12 +99,12 @@ func (o *Orchestrator) rebalance(rep *PeriodReport, tenants []Tenant, ptenants [
 		return load[c] / float64(len(o.cells[c]))
 	}
 
-	budget := o.opts.CellRebalance
+	budget := o.opts.RebalanceBudget
 	var moves []rebalanceMove
 	// failed remembers the (hot, cold) pairs whose attempt could not
 	// seat or pay this period — the inputs have not changed, so retrying
 	// them would re-derive the same refusal. Failed attempts spend
-	// budget too, bounding the pass at 2·CellRebalance pricing attempts.
+	// budget too, bounding the pass at 2·RebalanceBudget pricing attempts.
 	failed := map[[2]int]bool{}
 	// deadHot marks hot cells with no unpinned tenant to move — a
 	// property of the cell alone, so every pair it sources is hopeless.

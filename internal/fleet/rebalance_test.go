@@ -32,7 +32,7 @@ func TestFleetRebalanceRawPressureUnits(t *testing.T) {
 	op := deltaOptions(sf)
 	op.Profiles = sf.profiles
 	op.MigrationCost = 100
-	op.CellRebalance = 2 // budget ≥ 2: the follow-up attempts must fail, not fire
+	op.RebalanceBudget = 2 // budget ≥ 2: the follow-up attempts must fail, not fire
 	o, err := New(op)
 	if err != nil {
 		t.Fatal(err)

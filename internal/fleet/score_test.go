@@ -95,13 +95,16 @@ func TestFleetScoreCacheAndParallelismParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var reps []*PeriodReport
 		for period := 1; period <= 5; period++ {
 			tenants = drift(tenants, period)
-			if _, err := o.Period(sf.inputs(tenants)); err != nil {
+			rep, err := o.Period(sf.inputs(tenants))
+			if err != nil {
 				t.Fatalf("period %d: %v", period, err)
 			}
+			reps = append(reps, rep)
 		}
-		return o.Report()
+		return reps
 	}
 	for _, ls := range []int{0, 3} {
 		ref := run(false, 1, ls)
@@ -111,13 +114,25 @@ func TestFleetScoreCacheAndParallelismParity(t *testing.T) {
 	}
 }
 
-// converge drives the orchestrator through steady periods until one
-// performs zero fresh advisor runs, failing after maxPeriods.
+// recomputePeriod runs one period with every cell recomputing:
+// SetOptions with the orchestrator's own options marks every cell dirty,
+// so the period consults the score cache instead of replaying.
+func recomputePeriod(t *testing.T, o *Orchestrator, inputs []Tenant) error {
+	t.Helper()
+	if err := o.SetOptions(o.opts); err != nil {
+		t.Fatal(err)
+	}
+	_, err := o.Period(inputs)
+	return err
+}
+
+// converge drives the orchestrator through recomputed steady periods
+// until one performs zero fresh advisor runs, failing after maxPeriods.
 func converge(t *testing.T, o *Orchestrator, inputs []Tenant, maxPeriods int) {
 	t.Helper()
 	for p := 0; p < maxPeriods; p++ {
 		_, _, before := o.ScoreStats()
-		if _, err := o.Period(inputs); err != nil {
+		if err := recomputePeriod(t, o, inputs); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, after := o.ScoreStats(); after == before {
@@ -130,22 +145,20 @@ func converge(t *testing.T, o *Orchestrator, inputs []Tenant, maxPeriods int) {
 // In steady state — no arrivals, no departures, no drift — a fleet
 // period performs ZERO fresh core.Recommend runs: every machine scoring
 // (candidate placement and per-machine manager alike) is a cache hit.
-// Delta periods are disabled here so the cell actually recomputes: with
-// them on, a steady period replays without consulting the cache at all
-// (covered by the delta tests).
+// Every period here recomputes its cell (recomputePeriod): a delta
+// period would replay the steady period without consulting the cache at
+// all (covered by the delta tests).
 func TestFleetSteadyStatePerformsZeroFreshRuns(t *testing.T) {
 	sf := newSimFleet()
 	tenants := baseTenants()
-	op := opts(sf, 5, 1)
-	op.DisableDelta = true
-	o, err := New(op)
+	o, err := New(opts(sf, 5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins := sf.inputs(tenants)
 	converge(t, o, ins, 8)
 	hitsBefore, _, runsBefore := o.ScoreStats()
-	if _, err := o.Period(ins); err != nil {
+	if err := recomputePeriod(t, o, ins); err != nil {
 		t.Fatal(err)
 	}
 	hitsAfter, _, runsAfter := o.ScoreStats()
@@ -163,9 +176,9 @@ func TestFleetSteadyStatePerformsZeroFreshRuns(t *testing.T) {
 func TestFleetScoreCacheInvalidation(t *testing.T) {
 	sf := newSimFleet()
 	tenants := baseTenants()
-	op := opts(sf, math.Inf(1), 1)
-	op.DisableDelta = true // recompute every period: this test watches the cache
-	o, err := New(op)
+	// Every period recomputes (recomputePeriod): this test watches the
+	// cache.
+	o, err := New(opts(sf, math.Inf(1), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +187,7 @@ func TestFleetScoreCacheInvalidation(t *testing.T) {
 	step := func(label string, ins []Tenant, wantFresh bool) {
 		t.Helper()
 		hitsBefore, _, runsBefore := o.ScoreStats()
-		if _, err := o.Period(ins); err != nil {
+		if err := recomputePeriod(t, o, ins); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		hitsAfter, _, runsAfter := o.ScoreStats()
@@ -381,13 +394,16 @@ func TestFleetLocalSearchNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var reps []*PeriodReport
 		for period := 1; period <= 4; period++ {
 			tenants = drift(tenants, period)
-			if _, err := o.Period(sf.inputs(tenants)); err != nil {
+			rep, err := o.Period(sf.inputs(tenants))
+			if err != nil {
 				t.Fatal(err)
 			}
+			reps = append(reps, rep)
 		}
-		return o.Report()
+		return reps
 	}
 	greedy := run(0)
 	refined := run(4)

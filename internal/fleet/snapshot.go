@@ -12,29 +12,37 @@ package fleet
 //
 //	u32 section id | u32 payload length | payload | u32 CRC-32 (IEEE)
 //
-// Sections appear in one fixed order (META, TOPO, ASSIGN, DELTA, SIGS,
-// LAT, MGRS, EST, USER, END); all integers are little-endian, floats
-// are IEEE-754 bits, strings and byte blobs are u32-length-prefixed.
-// The END section (id 0, empty payload) closes the stream, so boundary
-// truncation — the classic partial-write failure — is detected even
-// when every earlier section checks out, and trailing garbage after
-// END is rejected too. The shape follows goDB's page/file layer: fixed
-// magic + version up front, fixed-width little-endian fields, a
-// checksum over every payload, and validation before anything is
-// trusted.
+// Sections appear in one fixed order (META, TOPO, ASSIGN, LAT, MGRS,
+// EST, USER, END); all integers are little-endian, floats are IEEE-754
+// bits, strings and byte blobs are u32-length-prefixed. The END section
+// (id 0, empty payload) closes the stream, so boundary truncation — the
+// classic partial-write failure — is detected even when every earlier
+// section checks out, and trailing garbage after END is rejected too.
+// The shape follows goDB's page/file layer: fixed magic + version up
+// front, fixed-width little-endian fields, a checksum over every
+// payload, and validation before anything is trusted.
 //
-// What is serialized — everything a period's RESULT depends on: the
-// tenant assignment, the period counter, the cell partition, per-cell
-// delta input sequences and settled bits, the drift-detection
-// signatures (lastSig), the cell latency windows/EWMAs/stale bits, and
-// every machine manager's classification + refined-model state. What
-// is deliberately NOT serialized — things that change only WORK, never
-// results: stored cell outcomes (restored cells come back dirty and
-// recompute once, bit-identically, per delta.go's replay ≡ recompute
-// invariant), machine-score cache contents (deterministic re-runs),
-// and the report history. Point estimates ARE carried (EST section):
-// they are deterministic in their key, so priming them back is free
-// warmth for the first post-restore period.
+// What is serialized — everything a resumed period's RESULT depends on:
+// the period counter (META), the cell partition (TOPO), the tenant
+// assignment (ASSIGN), the cell latency windows/EWMAs/stale bits that
+// steer the auto-tuner (LAT), and every machine manager's
+// classification + refined-model state (MGRS); USER carries the
+// caller's blob. What is deliberately NOT serialized is state a
+// restored fleet rebuilds before reading it: stored cell outcomes and
+// the delta bookkeeping around them (per-cell input sequences, settled
+// bits, drift signatures) — a restored cell has no stored outcome, so
+// every occupied cell recomputes in the first resumed period,
+// bit-identically per delta.go's replay ≡ recompute invariant, and that
+// period rewrites the bookkeeping — plus machine-score cache contents
+// (deterministic re-runs).
+//
+// EST is the one section that carries work, not results: point
+// estimates, deterministic in their key, primed back into the estimate
+// caches. It stays because it pays. On fleetbench's restart workload
+// (16 servers, 64 tenants; seeds 1–5, 15 s runs alternating with a
+// build that wrote EST empty, 2-CPU Linux container) dropping it shrank
+// the snapshot from 2.43 MB to 0.076 MB but slowed the first resumed
+// period on every seed: p50 259 → 334 ms, p90 294 → 373 ms.
 //
 // The restore contract: Restore parses and validates the ENTIRE stream
 // — magic, version, section order, every CRC, every cross-reference —
@@ -63,9 +71,11 @@ import (
 	"repro/internal/score"
 )
 
+// snapVersion changes whenever the section layout does; a stream of any
+// other version is rejected.
 const (
 	snapMagic   = "VDFLEET\x00"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // Section IDs, in stream order.
@@ -74,12 +84,10 @@ const (
 	sectMeta   = 1
 	sectTopo   = 2
 	sectAssign = 3
-	sectDelta  = 4
-	sectSigs   = 5
-	sectLat    = 6
-	sectMgrs   = 7
-	sectEst    = 8
-	sectUser   = 9
+	sectLat    = 4
+	sectMgrs   = 5
+	sectEst    = 6
+	sectUser   = 7
 )
 
 var sectName = map[uint32]string{
@@ -87,8 +95,6 @@ var sectName = map[uint32]string{
 	sectMeta:   "META",
 	sectTopo:   "TOPO",
 	sectAssign: "ASSIGN",
-	sectDelta:  "DELTA",
-	sectSigs:   "SIGS",
 	sectLat:    "LAT",
 	sectMgrs:   "MGRS",
 	sectEst:    "EST",
@@ -291,8 +297,6 @@ func (o *Orchestrator) Snapshot(w io.Writer, user []byte) error {
 	writeSection(&out, sectMeta, o.encodeMeta())
 	writeSection(&out, sectTopo, o.encodeTopo())
 	writeSection(&out, sectAssign, o.encodeAssign())
-	writeSection(&out, sectDelta, o.encodeDelta())
-	writeSection(&out, sectSigs, o.encodeSigs())
 	writeSection(&out, sectLat, o.encodeLat())
 	writeSection(&out, sectMgrs, o.encodeManagers())
 	writeSection(&out, sectEst, o.encodeEstimates())
@@ -340,39 +344,6 @@ func (o *Orchestrator) encodeAssign() []byte {
 	for _, id := range ids {
 		e.str(id)
 		e.i64(int64(o.assignment[id]))
-	}
-	return e.buf
-}
-
-func (o *Orchestrator) encodeDelta() []byte {
-	var e snapEnc
-	e.i64(int64(len(o.delta)))
-	for c := range o.delta {
-		e.i64(int64(len(o.delta[c].ids)))
-		for _, id := range o.delta[c].ids {
-			e.str(id)
-		}
-		e.bool(o.delta[c].settled)
-	}
-	return e.buf
-}
-
-func (o *Orchestrator) encodeSigs() []byte {
-	ids := make([]string, 0, len(o.lastSig))
-	for id := range o.lastSig {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var e snapEnc
-	e.i64(int64(len(ids)))
-	for _, id := range ids {
-		sig := o.lastSig[id]
-		e.str(id)
-		e.str(sig.fp)
-		e.f64(sig.gain)
-		e.f64(sig.limit)
-		e.f64(sig.avg)
-		e.i64(int64(sig.pin))
 	}
 	return e.buf
 }
@@ -486,9 +457,6 @@ type snapState struct {
 	localIdx          []int
 	cells             [][]int
 	assignment        map[string]int
-	deltaIDs          [][]string
-	settled           []bool
-	sigs              map[string]tenantSig
 	lat               []cellLatency
 	mgrs              []*dynmgmt.StateExport
 	estPresent        bool
@@ -510,7 +478,7 @@ type snapState struct {
 // Restored cells come back dirty (their stored outcomes are not
 // serialized), so the first post-restore period recomputes every
 // occupied cell — same results, more work — and the delta machinery
-// re-settles from period two on. The report history starts empty.
+// re-settles from period two on.
 func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, []byte, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -554,7 +522,7 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 	o := &Orchestrator{
 		opts:       opts,
 		assignment: st.assignment,
-		lastSig:    st.sigs,
+		lastSig:    map[string]tenantSig{},
 		period:     st.period,
 	}
 	o.met = newFleetMetrics(opts.Metrics)
@@ -595,12 +563,9 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 		}
 		o.machines = append(o.machines, m)
 	}
+	// No stored outcomes: restored cells are dirty and recompute once,
+	// bit-identically (replay ≡ recompute).
 	o.delta = make([]cellDelta, len(o.cells))
-	for c := range o.delta {
-		// out stays nil: restored cells are dirty and recompute once,
-		// bit-identically (replay ≡ recompute).
-		o.delta[c] = cellDelta{ids: st.deltaIDs[c], settled: st.settled[c]}
-	}
 	o.lat = st.lat
 	if st.estPresent && (ropts == nil || !ropts.SkipCachePriming) {
 		for c := range o.estimates {
@@ -634,8 +599,6 @@ func parseSnapshot(raw []byte) (*snapState, error) {
 		{sectMeta, st.parseMeta},
 		{sectTopo, st.parseTopo},
 		{sectAssign, st.parseAssign},
-		{sectDelta, st.parseDelta},
-		{sectSigs, st.parseSigs},
 		{sectLat, st.parseLat},
 		{sectMgrs, st.parseMgrs},
 		{sectEst, st.parseEst},
@@ -763,58 +726,6 @@ func (st *snapState) parseAssign(d *snapDec) error {
 			return nil
 		}
 		st.assignment[id] = s
-	}
-	return nil
-}
-
-func (st *snapState) parseDelta(d *snapDec) error {
-	nc := d.count(9)
-	if d.err != nil {
-		return nil
-	}
-	if nc != len(st.cells) {
-		d.fail("delta state for %d cells, topology has %d", nc, len(st.cells))
-		return nil
-	}
-	st.deltaIDs = make([][]string, nc)
-	st.settled = make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		n := d.count(4)
-		if d.err != nil {
-			return nil
-		}
-		ids := make([]string, n)
-		for i := 0; i < n; i++ {
-			ids[i] = d.str()
-		}
-		st.deltaIDs[c] = ids
-		st.settled[c] = d.bool()
-	}
-	return nil
-}
-
-func (st *snapState) parseSigs(d *snapDec) error {
-	n := d.count(40)
-	if d.err != nil {
-		return nil
-	}
-	st.sigs = make(map[string]tenantSig, n)
-	for i := 0; i < n; i++ {
-		id := d.str()
-		var sig tenantSig
-		sig.fp = d.str()
-		sig.gain = d.f64()
-		sig.limit = d.f64()
-		sig.avg = d.f64()
-		sig.pin = int(d.i64())
-		if d.err != nil {
-			return nil
-		}
-		if _, dup := st.sigs[id]; dup {
-			d.fail("tenant %q has two signatures", id)
-			return nil
-		}
-		st.sigs[id] = sig
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func newSnapSoakDriver() *snapSoakDriver {
 
 func snapSoakOptions(sf *simFleet) Options {
 	op := deltaOptions(sf)
-	op.CellRebalance = 2
+	op.RebalanceBudget = 2
 	return op
 }
 
@@ -406,4 +406,99 @@ func TestFleetSnapshotOptionMismatch(t *testing.T) {
 	bad = op
 	bad.Profiles = nil
 	mustFail("no servers", bad, "no servers")
+}
+
+// A restored fleet drops the manager state of machines its first resumed
+// period empties, exactly as the uninterrupted fleet does. A restored
+// cell has no stored outcome, so the reset cannot hang off one: after
+// every tenant of one cell departs, both fleets' machines without a
+// tenant hold fresh managers, their next snapshots carry the same
+// ASSIGN, TOPO and MGRS bytes, and when the tenants return under the
+// same IDs both fleets report identically.
+func TestFleetRestoreResetsEmptiedMachines(t *testing.T) {
+	sf := deltaFleet()
+	op := deltaOptions(sf)
+	u, err := New(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := baseTenants()
+	all := sf.inputs(tenants)
+	for p := 0; p < 6; p++ {
+		if _, err := u.Period(all); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Period(all); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := Restore(&buf, op, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every tenant of the cell hosting t0 departs.
+	emptied := u.CellOf(u.Assignment()["t0"])
+	var stay []*simTenant
+	for _, st := range tenants {
+		if u.CellOf(u.Assignment()[st.id]) != emptied {
+			stay = append(stay, st)
+		}
+	}
+	if len(stay) == 0 || len(stay) == len(tenants) {
+		t.Fatalf("setup: %d of %d tenants outside cell %d", len(stay), len(tenants), emptied)
+	}
+	for _, o := range []*Orchestrator{u, r} {
+		if _, err := o.Period(sf.inputs(stay)); err != nil {
+			t.Fatal(err)
+		}
+		occupied := map[int]bool{}
+		for _, srv := range o.Assignment() {
+			occupied[srv] = true
+		}
+		for srv, m := range o.machines {
+			if !occupied[srv] && !m.mgr.Fresh() {
+				t.Fatalf("server %d hosts no tenant but keeps manager state", srv)
+			}
+		}
+	}
+
+	sections := func(o *Orchestrator) map[uint32][]byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := o.Snapshot(&buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		out := map[uint32][]byte{}
+		for _, f := range snapFrames(t, raw) {
+			out[f.id] = raw[f.payloadStart:f.payloadEnd]
+		}
+		return out
+	}
+	want, got := sections(u), sections(r)
+	for _, id := range []uint32{sectAssign, sectTopo, sectMgrs} {
+		if !bytes.Equal(want[id], got[id]) {
+			t.Fatalf("%s section differs after the emptying period: restored %d bytes, uninterrupted %d",
+				sectName[id], len(got[id]), len(want[id]))
+		}
+	}
+
+	a, err := u.Period(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Period(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePeriodReports(t, "returning tenants", []*PeriodReport{b}, []*PeriodReport{a})
 }

@@ -72,9 +72,9 @@ func TestFleetSoak1000(t *testing.T) {
 			MinShare:    0.05,
 			Parallelism: 4,
 		},
-		Cells:         8,
-		CellRebalance: rebalance,
-		Metrics:       reg,
+		Cells:           8,
+		RebalanceBudget: rebalance,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -441,8 +441,8 @@ func TestFleetSoak1000CorrelatedDrain(t *testing.T) {
 				MinShare:    0.05,
 				Parallelism: 4,
 			},
-			Cells:         8,
-			CellRebalance: budget,
+			Cells:           8,
+			RebalanceBudget: budget,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -147,14 +147,14 @@ func (o *Orchestrator) RemoveServer(server int) error {
 // SetOptions retunes a live orchestrator between periods. The topology
 // options are fixed after New — Profiles (use AddServer/RemoveServer),
 // Cells, and DisableScoreCache — and everything else may change:
-// MigrationCost, CellRebalance, LocalSearch, AdmitQoS, Incremental,
-// ShadowScratch, DisableDelta, the cache bounds, Tau/ErrThreshold
-// (applied to the live managers when > 0), and Core (applied to
+// MigrationCost, RebalanceBudget, LocalSearch, AdmitQoS, Incremental,
+// the auto-tuner, the cache bounds, the trace sink, and Core (applied to
 // placement and the cell fan-out; existing managers keep their
 // creation-time Core, which cannot change a report — results are
 // parallelism-independent by design). Every cell is marked for
 // recomputation, since a stored outcome answers only for the options it
-// was computed under.
+// was computed under; calling it with unchanged options is how a caller
+// forces the next period to recompute every occupied cell.
 func (o *Orchestrator) SetOptions(opts Options) error {
 	if len(opts.Profiles) != len(o.opts.Profiles) {
 		return errors.New("fleet: Profiles are fixed after New (use AddServer/RemoveServer)")
@@ -179,17 +179,6 @@ func (o *Orchestrator) SetOptions(opts Options) error {
 	opts.Metrics = o.opts.Metrics
 	o.opts = opts
 	o.opts.Profiles = append([]string(nil), opts.Profiles...)
-	for s, m := range o.machines {
-		if o.cellOf[s] < 0 {
-			continue
-		}
-		if opts.Tau > 0 {
-			m.mgr.Tau = opts.Tau
-		}
-		if opts.ErrThreshold > 0 {
-			m.mgr.ErrThreshold = opts.ErrThreshold
-		}
-	}
 	scap := perCellCapacity(opts.CacheCapacity, len(o.cells))
 	ecap := perCellCapacity(opts.EstimateCacheCapacity, len(o.cells))
 	for c := range o.scores {

@@ -1,4 +1,6 @@
-package main
+// Package profiling wires the command-line tools' -cpuprofile and
+// -memprofile flags to runtime/pprof.
+package profiling
 
 import (
 	"fmt"
@@ -7,11 +9,11 @@ import (
 	"runtime/pprof"
 )
 
-// startProfiles starts a pprof CPU profile and/or arranges a heap
-// profile, per the -cpuprofile/-memprofile flags (empty = off). The
-// returned stop function ends the CPU profile and writes the heap
-// snapshot; call it once, when the measured work is done.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// Start starts a pprof CPU profile and/or arranges a heap profile, per
+// the -cpuprofile/-memprofile flags (empty = off). The returned stop
+// function ends the CPU profile and writes the heap snapshot; call it
+// once, when the measured work is done.
+func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

@@ -26,7 +26,6 @@
 package score
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,8 +37,8 @@ import (
 // Fingerprinter is implemented by estimators that carry a stable identity
 // for the workload (and cost-model state) they estimate: equal
 // fingerprints on the same machine profile must imply bit-identical
-// Estimate results. The refinement layer's models and the score package's
-// WithFingerprint wrapper implement it.
+// Estimate results. The refinement layer's models and the estimate
+// cache's wrapper (EstimateCache.Estimator) implement it.
 type Fingerprinter interface {
 	ScoreFingerprint() string
 }
@@ -52,38 +51,6 @@ func FingerprintOf(est core.Estimator) string {
 	}
 	return ""
 }
-
-// fingerprinted attaches a caller-chosen fingerprint to an estimator. It
-// forwards concurrent estimation so wrapping never serializes a
-// ConcurrentEstimator.
-type fingerprinted struct {
-	est core.Estimator
-	fp  string
-}
-
-// WithFingerprint wraps an estimator with a fingerprint, making it
-// cacheable by a score.Cache. The fingerprint must identify the
-// estimator's behaviour: two estimators with equal fingerprints (and
-// equal machine profile) must produce identical estimates.
-func WithFingerprint(est core.Estimator, fp string) core.Estimator {
-	return &fingerprinted{est: est, fp: fp}
-}
-
-var (
-	_ core.Estimator           = (*fingerprinted)(nil)
-	_ core.ConcurrentEstimator = (*fingerprinted)(nil)
-	_ Fingerprinter            = (*fingerprinted)(nil)
-)
-
-func (f *fingerprinted) Estimate(a core.Allocation) (float64, string, error) {
-	return f.est.Estimate(a)
-}
-
-func (f *fingerprinted) EstimateConcurrent(ctx context.Context, workers int, a core.Allocation) (float64, string, error) {
-	return core.EstimateWith(ctx, f.est, workers, a)
-}
-
-func (f *fingerprinted) ScoreFingerprint() string { return f.fp }
 
 // entry is one cached advisor run, resolved exactly once: concurrent
 // requests for the same configuration block on the single in-flight run

@@ -276,9 +276,10 @@ func TestCacheTransparent(t *testing.T) {
 func TestRecommendEstsFingerprints(t *testing.T) {
 	c := NewCache()
 	inner, _ := ests(40, 10)
+	points := NewEstimates()
 	wrapped := []core.Estimator{
-		WithFingerprint(inner[0], "w0@1"),
-		WithFingerprint(inner[1], "w1@1"),
+		points.Estimator("big", "w0@1", inner[0]),
+		points.Estimator("big", "w1@1", inner[1]),
 	}
 	if fp := FingerprintOf(wrapped[0]); fp != "w0@1" {
 		t.Fatalf("FingerprintOf = %q", fp)
@@ -303,27 +304,5 @@ func TestRecommendEstsFingerprints(t *testing.T) {
 	}
 	if c.Runs() != 2 {
 		t.Fatalf("uncacheable mix should run fresh: runs=%d", c.Runs())
-	}
-}
-
-// The wrapper forwards concurrent estimation and stays bit-identical.
-func TestWithFingerprintForwardsConcurrent(t *testing.T) {
-	inner := &countingEst{alpha: 20, gamma: 10}
-	w := WithFingerprint(inner, "fp")
-	a := core.Allocation{0.5, 0.5}
-	s1, _, err := w.Estimate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, ok := w.(core.ConcurrentEstimator)
-	if !ok {
-		t.Fatal("wrapper must implement ConcurrentEstimator")
-	}
-	s2, _, err := ce.EstimateConcurrent(context.Background(), 4, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Fatalf("concurrent path diverges: %v vs %v", s1, s2)
 	}
 }

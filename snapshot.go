@@ -5,8 +5,8 @@ package vdesign
 // fleet layer adds its own state to the stream's caller blob — the
 // tenant registry (registration keys, workload versions, pins, QoS) and
 // the registration counter — so a restored fleet's tenants keep the
-// identities the orchestrator's assignment, drift signatures, and
-// primed caches are keyed by.
+// identities the orchestrator's assignment, manager state, and primed
+// caches are keyed by.
 //
 // The restore contract: re-create the fleet the same way the original
 // was built — same FleetOptions, servers added in the same order
