@@ -328,56 +328,45 @@ func BenchmarkFleetPeriodCached(b *testing.B) {
 
 // BenchmarkFleetPeriodIncremental measures a drifting fleet period —
 // one tenant's workload alternates every period, so the candidate
-// placement always has fresh configurations to score — with the
-// greedy-from-scratch search vs the incremental (incumbent-seeded)
-// search, both under a bounded, swept score cache. Reports stay
-// deterministic either way; incremental mode only changes how much
-// search work a drifted period costs.
+// placement always has fresh configurations to score — under seeded
+// local search (LocalSearch > 0 seeds each period from the incumbent)
+// and a swept score cache.
 func BenchmarkFleetPeriodIncremental(b *testing.B) {
 	schema := tpch.Schema(1)
-	for _, incremental := range []bool{false, true} {
-		f := NewFleet(&FleetOptions{
-			MigrationCost:      5,
-			Delta:              0.1,
-			LocalSearch:        2,
-			Incremental:        incremental,
-			ScoreCacheCapacity: 4096,
-			ScoreCacheSweep:    8,
-		})
-		for _, p := range []MachineProfile{{}, {}, {CPUHz: 1.1e9, MemoryBytes: 4 << 30}} {
-			if _, err := f.AddServer(p); err != nil {
-				b.Fatal(err)
-			}
+	f := NewFleet(&FleetOptions{
+		MigrationCost:   5,
+		Delta:           0.1,
+		LocalSearch:     2,
+		ScoreCacheSweep: 8,
+	})
+	for _, p := range []MachineProfile{{}, {}, {CPUHz: 1.1e9, MemoryBytes: 4 << 30}} {
+		if _, err := f.AddServer(p); err != nil {
+			b.Fatal(err)
 		}
-		var drifty *FleetTenant
-		for i, q := range []int{1, 18, 6, 5, 14, 17} {
-			h, err := f.AddTenant(fmt.Sprintf("t%d", i), PostgreSQL, schema, []string{tpch.QueryText(q)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				drifty = h
-			}
+	}
+	var drifty *FleetTenant
+	for i, q := range []int{1, 18, 6, 5, 14, 17} {
+		h, err := f.AddTenant(fmt.Sprintf("t%d", i), PostgreSQL, schema, []string{tpch.QueryText(q)})
+		if err != nil {
+			b.Fatal(err)
 		}
-		for p := 0; p < 4; p++ {
-			if _, err := f.Period(); err != nil {
-				b.Fatal(err)
-			}
+		if i == 0 {
+			drifty = h
 		}
-		name := "mode=scratch"
-		if incremental {
-			name = "mode=incremental"
+	}
+	for p := 0; p < 4; p++ {
+		if _, err := f.Period(); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w := mustWorkload("t0", tpch.QueryText(1+i%2), tpch.QueryText(6))
-				if err := f.SetWorkload(drifty, w); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := f.Period(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := mustWorkload("t0", tpch.QueryText(1+i%2), tpch.QueryText(6))
+		if err := f.SetWorkload(drifty, w); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Period(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

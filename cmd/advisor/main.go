@@ -67,17 +67,11 @@ func main() {
 	migrationCost := flag.Float64("migration-cost", 0,
 		"fleet mode: penalty (gain-weighted seconds) per moved tenant when re-placing")
 	localSearch := flag.Int("local-search", 0,
-		"post-greedy local-search rounds (tenant moves/swaps) in multi-machine placement; 0 disables")
+		"post-greedy local-search rounds (tenant moves/swaps) in multi-machine placement; 0 disables (in fleet mode, > 0 also seeds each period's search from the incumbent assignment)")
 	admitQoS := flag.Bool("admit-qos", false,
 		"fleet mode: reject arrivals no machine can host within their degradation limit (batches admitted jointly)")
-	cacheCapacity := flag.Int("cache-capacity", 0,
-		"fleet mode: LRU bound on the machine-score cache (entries; 0 = unbounded)")
-	estimateCapacity := flag.Int("estimate-cache-capacity", 0,
-		"fleet mode: LRU bound on the point-estimate cache (entries; 0 = unbounded)")
 	cacheSweep := flag.Int("cache-sweep", 0,
 		"fleet mode: drop cache entries untouched for this many periods (0 = never)")
-	incremental := flag.Bool("incremental", false,
-		"fleet mode: seed each period's placement search from the incumbent assignment")
 	cellsFlag := flag.String("cells", "0",
 		"partition multi-machine placement into cells of at most this many servers (0 disables; \"auto\" turns on fleet-mode latency-driven cell auto-tuning)")
 	rebalanceBudget := flag.Int("rebalance-budget", 0,
@@ -141,24 +135,21 @@ func main() {
 			fatal(err)
 		}
 		runFleet(specs, qosOf, machines, *periods, fleetConfig{
-			migrationCost:    *migrationCost,
-			delta:            *delta,
-			parallelism:      *parallelism,
-			localSearch:      *localSearch,
-			admitQoS:         *admitQoS,
-			cacheCapacity:    *cacheCapacity,
-			estimateCapacity: *estimateCapacity,
-			cacheSweep:       *cacheSweep,
-			incremental:      *incremental,
-			cells:            cells,
-			rebalanceBudget:  *rebalanceBudget,
-			autoTune:         autoTune,
-			cellTarget:       *cellTarget,
-			metricsAddr:      *metricsAddr,
-			metricsLinger:    *metricsLinger,
-			traceOut:         *traceOut,
-			snapshotPath:     *snapshotPath,
-			restorePath:      *restorePath,
+			migrationCost:   *migrationCost,
+			delta:           *delta,
+			parallelism:     *parallelism,
+			localSearch:     *localSearch,
+			admitQoS:        *admitQoS,
+			cacheSweep:      *cacheSweep,
+			cells:           cells,
+			rebalanceBudget: *rebalanceBudget,
+			autoTune:        autoTune,
+			cellTarget:      *cellTarget,
+			metricsAddr:     *metricsAddr,
+			metricsLinger:   *metricsLinger,
+			traceOut:        *traceOut,
+			snapshotPath:    *snapshotPath,
+			restorePath:     *restorePath,
 		})
 		return
 	}
@@ -168,11 +159,8 @@ func main() {
 	if *snapshotPath != "" || *restorePath != "" {
 		fatal(fmt.Errorf("-snapshot/-restore require fleet mode (-periods > 1)"))
 	}
-	if *cacheCapacity != 0 || *estimateCapacity != 0 || *cacheSweep != 0 {
-		fatal(fmt.Errorf("-cache-capacity/-estimate-cache-capacity/-cache-sweep require fleet mode (-periods > 1)"))
-	}
-	if *incremental {
-		fatal(fmt.Errorf("-incremental requires fleet mode (-periods > 1)"))
+	if *cacheSweep != 0 {
+		fatal(fmt.Errorf("-cache-sweep requires fleet mode (-periods > 1)"))
 	}
 	if *rebalanceBudget != 0 {
 		fatal(fmt.Errorf("-rebalance-budget requires fleet mode (-periods > 1)"))
@@ -249,24 +237,21 @@ func parseProfiles(profiles []string, servers int) ([]vdesign.MachineProfile, er
 
 // fleetConfig bundles the fleet-mode command-line knobs.
 type fleetConfig struct {
-	migrationCost    float64
-	delta            float64
-	parallelism      int
-	localSearch      int
-	admitQoS         bool
-	cacheCapacity    int
-	estimateCapacity int
-	cacheSweep       int
-	incremental      bool
-	cells            int
-	rebalanceBudget  int
-	autoTune         bool
-	cellTarget       time.Duration
-	metricsAddr      string
-	metricsLinger    time.Duration
-	traceOut         string
-	snapshotPath     string
-	restorePath      string
+	migrationCost   float64
+	delta           float64
+	parallelism     int
+	localSearch     int
+	admitQoS        bool
+	cacheSweep      int
+	cells           int
+	rebalanceBudget int
+	autoTune        bool
+	cellTarget      time.Duration
+	metricsAddr     string
+	metricsLinger   time.Duration
+	traceOut        string
+	snapshotPath    string
+	restorePath     string
 }
 
 // runFleet drives the tenants through monitoring periods on a (possibly
@@ -299,21 +284,18 @@ func runFleet(specs []tenantSpec, qosOf map[string]vdesign.QoS, machines []vdesi
 		}
 	}
 	f := vdesign.NewFleet(&vdesign.FleetOptions{
-		MigrationCost:         cfg.migrationCost,
-		Delta:                 cfg.delta,
-		Parallelism:           cfg.parallelism,
-		LocalSearch:           cfg.localSearch,
-		AdmitQoS:              cfg.admitQoS,
-		ScoreCacheCapacity:    cfg.cacheCapacity,
-		EstimateCacheCapacity: cfg.estimateCapacity,
-		ScoreCacheSweep:       cfg.cacheSweep,
-		Incremental:           cfg.incremental,
-		Cells:                 cfg.cells,
-		RebalanceBudget:       cfg.rebalanceBudget,
-		AutoTuneCells:         cfg.autoTune,
-		CellLatencyTarget:     cfg.cellTarget,
-		Metrics:               reg,
-		TraceSink:             traceSink,
+		MigrationCost:     cfg.migrationCost,
+		Delta:             cfg.delta,
+		Parallelism:       cfg.parallelism,
+		LocalSearch:       cfg.localSearch,
+		AdmitQoS:          cfg.admitQoS,
+		ScoreCacheSweep:   cfg.cacheSweep,
+		Cells:             cfg.cells,
+		RebalanceBudget:   cfg.rebalanceBudget,
+		AutoTuneCells:     cfg.autoTune,
+		CellLatencyTarget: cfg.cellTarget,
+		Metrics:           reg,
+		TraceSink:         traceSink,
 	})
 	for _, p := range machines {
 		if _, err := f.AddServer(p); err != nil {

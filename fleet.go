@@ -68,7 +68,13 @@ type FleetOptions struct {
 	// LocalSearch bounds the post-greedy local-search refinement of each
 	// period's placement runs (single-tenant moves and pairwise swaps,
 	// applied only while the fleet objective strictly improves). 0
-	// disables it.
+	// disables it. With local search on, each period's candidate
+	// placement is seeded from the incumbent assignment — survivors start
+	// where they are, arrivals are placed greedily, and local search
+	// refines the whole fleet — instead of repacking greedily from
+	// scratch; without it, the candidate is packed from scratch and
+	// MigrationCost decides which moves are adopted. Reports are
+	// deterministic and bit-identical across Parallelism either way.
 	LocalSearch int
 	// AdmitQoS enables fleet-level admission control: an arriving tenant
 	// is rejected for the period — reported by FleetPeriodReport.Rejected
@@ -81,31 +87,19 @@ type FleetOptions struct {
 	// so arrivals that fit alone but conflict as a batch are split
 	// deterministically in registration order.
 	AdmitQoS bool
-	// ScoreCacheCapacity bounds the machine-score cache to at most this
-	// many entries, evicting least-recently-used first (0 = unbounded).
-	// Long-lived fleets otherwise grow the cache with every configuration
-	// ever scored; a capacity at least the per-period working set keeps
-	// steady periods at zero fresh advisor runs while capping memory.
-	// Eviction can cost re-runs, never change a report.
-	ScoreCacheCapacity int
-	// EstimateCacheCapacity bounds the estimate cache — point what-if
-	// evaluations keyed by (profile, workload fingerprint, allocation),
-	// a far higher-cardinality space than machine scores — the same way
-	// (0 = unbounded). Size it in the thousands: one tenant costs one
-	// entry per profile per grid allocation its advisor runs visit.
-	EstimateCacheCapacity int
-	// ScoreCacheSweep drops cache entries untouched for this many
-	// consecutive periods (0 = never): each Period advances a cache
-	// generation, so configurations the fleet stopped visiting — departed
-	// tenants, drifted-away workloads — age out even without a capacity.
-	// The sweep applies to both caches.
+	// ScoreCacheSweep bounds the fleet's caches — the machine-score cache
+	// and the estimate cache of point what-if evaluations — by dropping
+	// entries untouched for this many consecutive periods (0 = never:
+	// the caches grow with every configuration ever scored). Each Period
+	// advances a cache generation, so configurations the fleet stopped
+	// visiting — departed tenants, drifted-away workloads — age out while
+	// the working set stays cached and steady periods stay at zero fresh
+	// advisor runs. Eviction can cost re-runs, never change a report.
 	ScoreCacheSweep int
-	// Incremental seeds each period's candidate placement from the
-	// incumbent assignment: survivors start where they are, arrivals are
-	// placed greedily, and local search refines the whole fleet, instead
-	// of repacking greedily from scratch every period. Reports remain
-	// deterministic and bit-identical across Parallelism. Most useful
-	// with LocalSearch > 0.
+	// Incremental is ignored: a period's candidate placement is seeded
+	// from the incumbent assignment exactly when LocalSearch > 0.
+	//
+	// Deprecated: set LocalSearch instead.
 	Incremental bool
 	// Cells bounds a placement cell to at most this many servers
 	// (0 disables partitioning). Large fleets are partitioned into cells
@@ -438,21 +432,18 @@ func (f *Fleet) orchOptions() fleet.Options {
 		cells = len(f.keys)
 	}
 	return fleet.Options{
-		Profiles:              f.keys,
-		MigrationCost:         f.opts.MigrationCost,
-		Core:                  f.coreOpts(),
-		LocalSearch:           f.opts.LocalSearch,
-		AdmitQoS:              f.opts.AdmitQoS,
-		CacheCapacity:         f.opts.ScoreCacheCapacity,
-		EstimateCacheCapacity: f.opts.EstimateCacheCapacity,
-		CacheSweep:            f.opts.ScoreCacheSweep,
-		Incremental:           f.opts.Incremental,
-		Cells:                 cells,
-		RebalanceBudget:       f.opts.RebalanceBudget,
-		AutoTuneCells:         f.opts.AutoTuneCells,
-		CellP95Target:         f.opts.CellLatencyTarget.Seconds(),
-		Metrics:               f.opts.Metrics,
-		TraceSink:             f.opts.TraceSink,
+		Profiles:        f.keys,
+		MigrationCost:   f.opts.MigrationCost,
+		Core:            f.coreOpts(),
+		LocalSearch:     f.opts.LocalSearch,
+		AdmitQoS:        f.opts.AdmitQoS,
+		CacheSweep:      f.opts.ScoreCacheSweep,
+		Cells:           cells,
+		RebalanceBudget: f.opts.RebalanceBudget,
+		AutoTuneCells:   f.opts.AutoTuneCells,
+		CellP95Target:   f.opts.CellLatencyTarget.Seconds(),
+		Metrics:         f.opts.Metrics,
+		TraceSink:       f.opts.TraceSink,
 	}
 }
 
@@ -530,7 +521,7 @@ func (f *Fleet) ScoreStats() (hits, misses, runs int64) {
 
 // CacheSizes reports the current entry counts of the fleet's
 // machine-score cache and estimate cache — the numbers
-// FleetOptions.ScoreCacheCapacity bounds and ScoreCacheSweep drains.
+// FleetOptions.ScoreCacheSweep bounds.
 func (f *Fleet) CacheSizes() (scores, estimates int) {
 	if f.orch == nil {
 		return 0, 0
@@ -538,8 +529,8 @@ func (f *Fleet) CacheSizes() (scores, estimates int) {
 	return f.orch.CacheSizes()
 }
 
-// CacheEvictions reports how many entries each cache dropped to the
-// capacity bound or a generation sweep.
+// CacheEvictions reports how many entries each cache's generation
+// sweeps dropped.
 func (f *Fleet) CacheEvictions() (scores, estimates int64) {
 	if f.orch == nil {
 		return 0, 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/placement"
 )
 
 // The pairwise-conflict regression batch admission exists to close: two
@@ -167,35 +168,61 @@ func TestFleetRejectReasons(t *testing.T) {
 	}
 }
 
-// In a steady state the incremental and scratch modes coincide exactly:
-// seeded from an incumbent that fresh packing would reproduce, local
-// search finds nothing to improve and every report field matches.
+// In a steady state the seeded candidate coincides with
+// greedy-from-scratch packing: seeded from an incumbent that fresh
+// packing would reproduce, local search finds nothing to improve. The
+// scratch reference is placement.Place over the same tenants with the
+// fleet's one-cell placement options, as the shadow soak computes it.
+// Every period recomputes its cell, so the seeded search actually runs.
 func TestFleetIncrementalSteadyMatchesScratch(t *testing.T) {
-	run := func(incremental bool) []*PeriodReport {
-		sf := newSimFleet()
-		tenants := baseTenants()
-		o, err := New(Options{
-			Profiles:      sf.profiles,
-			MigrationCost: 5,
-			LocalSearch:   20,
-			Incremental:   incremental,
-			Core:          core.Options{Delta: 0.1},
-		})
+	sf := newSimFleet()
+	tenants := baseTenants()
+	opts := Options{
+		Profiles:      sf.profiles,
+		MigrationCost: 5,
+		LocalSearch:   20,
+		Core:          core.Options{Delta: 0.1},
+	}
+	o, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popts := placement.Options{Profiles: opts.Profiles, Core: opts.Core, LocalSearch: opts.LocalSearch}
+	for p := 1; p <= 4; p++ {
+		inputs := sf.inputs(tenants)
+		if err := o.SetOptions(opts); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := o.Period(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps := make([]*PeriodReport, 4)
-		for p := range reps {
-			if reps[p], err = o.Period(sf.inputs(tenants)); err != nil {
-				t.Fatal(err)
+		placed := make([]placement.Tenant, len(inputs))
+		for i, in := range inputs {
+			placed[i] = placement.Tenant{Name: in.ID, EstFor: in.EstFor,
+				Gain: in.Gain, Limit: in.Limit, Fingerprint: in.Fingerprint}
+		}
+		scratch, err := placement.Place(placed, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CandidateCost != scratch.TotalCost {
+			t.Fatalf("period %d: seeded candidate %v vs scratch %v", p, rep.CandidateCost, scratch.TotalCost)
+		}
+		for i, in := range inputs {
+			if rep.Assignment[in.ID] != scratch.Assignment[i] {
+				t.Fatalf("period %d tenant %s: server %d vs scratch %d",
+					p, in.ID, rep.Assignment[in.ID], scratch.Assignment[i])
 			}
 		}
-		return reps
+		if p > 1 && (rep.Migrations != 0 || rep.LocalSearchImprovement != 0) {
+			t.Fatalf("period %d: steady seeded search moved %d tenants (improvement %v)",
+				p, rep.Migrations, rep.LocalSearchImprovement)
+		}
 	}
-	samePeriodReports(t, "incremental steady", run(false), run(true))
 }
 
-// Incremental mode keeps the steady-state guarantee: after convergence a
+// Seeded search keeps the steady-state guarantee: after convergence a
 // period performs zero fresh advisor runs, seeded search included (the
 // periods recompute, so the search actually runs instead of replaying).
 func TestFleetIncrementalSteadyStateZeroRuns(t *testing.T) {
@@ -205,7 +232,6 @@ func TestFleetIncrementalSteadyStateZeroRuns(t *testing.T) {
 		Profiles:      sf.profiles,
 		MigrationCost: 5,
 		LocalSearch:   5,
-		Incremental:   true,
 		Core:          core.Options{Delta: 0.1},
 	})
 	if err != nil {
@@ -217,6 +243,6 @@ func TestFleetIncrementalSteadyStateZeroRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, after := o.ScoreStats(); after != before {
-		t.Fatalf("incremental steady period ran %d fresh advisor runs", after-before)
+		t.Fatalf("seeded steady period ran %d fresh advisor runs", after-before)
 	}
 }

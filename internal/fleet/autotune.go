@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"repro/internal/placement"
-	"repro/internal/score"
 )
 
 const (
@@ -259,37 +258,15 @@ func (o *Orchestrator) installCell(c int, members []int) {
 }
 
 // newCellSlot returns an empty cell slot, reusing the smallest emptied
-// one (no machines, no stored outcome) before appending a new cell with
-// fresh cache shards — the same founding path AddServer uses, including
-// re-splitting the fleet-wide capacity bounds over the grown shard set.
+// one (no machines, no stored outcome) before founding a new cell — the
+// same founding path AddServer uses.
 func (o *Orchestrator) newCellSlot() int {
 	for c := range o.cells {
 		if len(o.cells[c]) == 0 && o.delta[c].out == nil {
 			return c
 		}
 	}
-	c := len(o.cells)
-	o.cells = append(o.cells, nil)
-	o.cellProfiles = append(o.cellProfiles, nil)
-	o.delta = append(o.delta, cellDelta{})
-	o.lat = append(o.lat, cellLatency{})
-	var sc *score.Cache
-	var ec *score.EstimateCache
-	if !o.opts.DisableScoreCache {
-		sc = score.NewCache()
-		ec = score.NewEstimates()
-		sc.SetMetrics(o.met.score)
-		ec.SetMetrics(o.met.estimates)
-	}
-	o.scores = append(o.scores, sc)
-	o.estimates = append(o.estimates, ec)
-	scap := perCellCapacity(o.opts.CacheCapacity, len(o.cells))
-	ecap := perCellCapacity(o.opts.EstimateCacheCapacity, len(o.cells))
-	for x := range o.scores {
-		o.scores[x].SetCapacity(scap)
-		o.estimates[x].SetCapacity(ecap)
-	}
-	return c
+	return o.foundCell()
 }
 
 // splitCell divides cell c into two profile-balanced halves: c keeps

@@ -180,11 +180,11 @@ func (o *Orchestrator) route(tenants []Tenant, ptenants []placement.Tenant, pinn
 			pt, pin, pos := admissionView(c, i, true)
 			copts := o.cellOpts(c)
 			copts.Pinned = pin
-			ok, err := placement.Admissible(pt, copts, pos)
+			seat, err := placement.AdmitSeat(pt, copts, pos)
 			if err != nil {
 				return false, fmt.Errorf("fleet: admission check for %q: %w", tenants[i].ID, err)
 			}
-			if ok {
+			if seat >= 0 {
 				return true, nil
 			}
 		}
@@ -387,11 +387,13 @@ func (o *Orchestrator) periodCell(c int, inputIdxs []int, tenants []Tenant, pten
 		machines:     make(map[int]MachineReport),
 	}
 
-	// The candidate re-placement (see Period's original flow: incremental
-	// mode seeds from the incumbents, arrivals placed greedily).
+	// The candidate re-placement: with local search on, seeded from the
+	// incumbents (arrivals placed greedily, then local search refines the
+	// cell); otherwise packed greedily from scratch, since a seeded
+	// candidate without local search could never move a survivor.
 	var candidate *placement.Placement
 	var err error
-	if o.opts.Incremental && anySurvivor {
+	if o.opts.LocalSearch > 0 && anySurvivor {
 		candidate, err = placement.PlaceSeeded(lpt, popts, lpin)
 	} else {
 		candidate, err = placement.Place(lpt, popts)

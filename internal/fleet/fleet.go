@@ -123,7 +123,14 @@ type Options struct {
 	Core core.Options
 	// LocalSearch bounds the post-greedy local-search refinement of every
 	// placement run this orchestrator performs (see
-	// placement.Options.LocalSearch); 0 disables it.
+	// placement.Options.LocalSearch); 0 disables it. With local search on,
+	// a cell's candidate placement is seeded from the incumbent assignment
+	// whenever the cell has survivors: survivors start where they are,
+	// arrivals are placed greedily, and local search refines the whole
+	// cell, so steady periods cost almost no search work and drifted ones
+	// only re-examine what local search touches. Without local search a
+	// seeded candidate could never move a survivor, so the candidate is
+	// packed greedily from scratch and MigrationCost decides what moves.
 	LocalSearch int
 	// AdmitQoS enables fleet-level admission control: an arriving tenant
 	// is rejected for the period — reported in PeriodReport.Rejected,
@@ -148,31 +155,14 @@ type Options struct {
 	// reference the cache-parity suites and the fleet-cache figure
 	// compare against.
 	DisableScoreCache bool
-	// CacheCapacity bounds the machine-score cache to at most this many
-	// entries with least-recently-used eviction (0 = unbounded). A
-	// long-lived fleet's cache otherwise grows with every configuration
-	// ever scored; a capacity at least the per-period working set keeps
-	// steady-state periods at zero fresh advisor runs while capping
-	// memory. Eviction can cost re-runs, never change a report.
-	CacheCapacity int
-	// EstimateCacheCapacity bounds the estimate cache (point what-if
-	// evaluations) the same way (0 = unbounded).
-	EstimateCacheCapacity int
-	// CacheSweep drops cache entries untouched for this many consecutive
-	// periods (0 = never): each Period advances one cache generation and
-	// sweeps both caches on commit, so configurations the fleet stopped
-	// visiting — departed tenants, drifted-away workloads — age out even
-	// without a capacity bound.
+	// CacheSweep bounds both caches (0 = unbounded): entries untouched
+	// for this many consecutive periods are dropped. Each recomputing
+	// cell advances one cache generation and sweeps its shards on commit,
+	// so configurations the fleet stopped visiting — departed tenants,
+	// drifted-away workloads — age out, while the working set it keeps
+	// touching stays cached and steady periods stay at zero fresh
+	// advisor runs. Eviction can cost re-runs, never change a report.
 	CacheSweep int
-	// Incremental seeds each period's candidate placement from the
-	// incumbent assignment instead of packing greedily from scratch:
-	// survivors start where they are, arrivals are placed greedily, and
-	// local search then refines the whole fleet. Steady periods cost
-	// almost no search work, drifted ones only re-examine what local
-	// search touches; reports remain deterministic and bit-identical
-	// across Parallelism. Most useful with LocalSearch > 0 (without it
-	// the candidate is simply the incumbent plus greedy arrivals).
-	Incremental bool
 	// Cells bounds a placement cell to at most this many machines
 	// (0 disables partitioning — the whole fleet is one cell, the flat
 	// orchestrator). On larger fleets the servers are partitioned by
@@ -418,7 +408,7 @@ type Orchestrator struct {
 	// Options.DisableScoreCache). estimates[c] memoizes point what-if
 	// evaluations below it, under the same lifecycle. Cells never share
 	// machines, so the shards never share keys — sharding only splits
-	// the capacity bounds and the lock traffic.
+	// the sweeps and the lock traffic.
 	scores    []*score.Cache
 	estimates []*score.EstimateCache
 	// delta[c] is cell c's delta-period state (see delta.go): the last
@@ -445,18 +435,23 @@ type Orchestrator struct {
 	met fleetMetrics
 }
 
-// checkOptions validates the tunable option fields — shared between New
-// and SetOptions.
+// checkOptions validates the option fields — shared between New,
+// Restore and SetOptions.
 func checkOptions(opts Options) error {
+	if len(opts.Profiles) == 0 {
+		return errors.New("fleet: no servers (Options.Profiles is empty)")
+	}
+	if opts.Cells < 0 {
+		return fmt.Errorf("fleet: negative cell size %d", opts.Cells)
+	}
 	if opts.MigrationCost < 0 {
 		return fmt.Errorf("fleet: negative migration cost %v", opts.MigrationCost)
 	}
 	if opts.Core.Gains != nil || opts.Core.Limits != nil {
 		return errors.New("fleet: QoS rides on each Tenant, not on Options.Core.Gains/Limits")
 	}
-	if opts.CacheCapacity < 0 || opts.EstimateCacheCapacity < 0 || opts.CacheSweep < 0 {
-		return fmt.Errorf("fleet: negative cache bound (capacity %d/%d, sweep %d)",
-			opts.CacheCapacity, opts.EstimateCacheCapacity, opts.CacheSweep)
+	if opts.CacheSweep < 0 {
+		return fmt.Errorf("fleet: negative cache sweep %d", opts.CacheSweep)
 	}
 	if opts.RebalanceBudget < 0 {
 		return fmt.Errorf("fleet: negative rebalance budget %d", opts.RebalanceBudget)
@@ -474,64 +469,58 @@ func checkOptions(opts Options) error {
 // be added and drained servers removed between periods (AddServer,
 // RemoveServer); existing servers keep their cell assignments.
 func New(opts Options) (*Orchestrator, error) {
-	if len(opts.Profiles) == 0 {
-		return nil, errors.New("fleet: no servers (Options.Profiles is empty)")
-	}
 	if err := checkOptions(opts); err != nil {
 		return nil, err
 	}
-	if opts.Cells < 0 {
-		return nil, fmt.Errorf("fleet: negative cell size %d", opts.Cells)
-	}
+	return newOrchestrator(opts, placement.PartitionCells(opts.Profiles, opts.Cells)), nil
+}
+
+// newOrchestrator builds an orchestrator over a given cell partition —
+// fresh from placement.PartitionCells in New, the snapshot's TOPO
+// section in Restore — with a fresh manager per server, empty cache
+// shards per cell, and no assignment. cells lists each cell's global
+// server indexes; a server listed in no cell is a removed one.
+func newOrchestrator(opts Options, cells [][]int) *Orchestrator {
 	o := &Orchestrator{opts: opts, assignment: map[string]int{}, lastSig: map[string]tenantSig{}}
 	o.met = newFleetMetrics(opts.Metrics)
-	o.cells = placement.PartitionCells(opts.Profiles, opts.Cells)
-	o.cellOf = placement.CellIndex(opts.Profiles, opts.Cells)
-	o.localIdx = make([]int, len(opts.Profiles))
-	o.cellProfiles = make([][]string, len(o.cells))
-	for c, servers := range o.cells {
-		profiles := make([]string, len(servers))
-		for l, s := range servers {
-			o.localIdx[s] = l
-			profiles[l] = opts.Profiles[s]
-		}
-		o.cellProfiles[c] = profiles
-	}
-	// Cache shards: one score + estimate cache per cell, splitting any
-	// capacity bound evenly (rounded up, so the fleet-wide bound is
-	// respected within numCells entries).
-	o.scores = make([]*score.Cache, len(o.cells))
-	o.estimates = make([]*score.EstimateCache, len(o.cells))
-	if !opts.DisableScoreCache {
-		scap := perCellCapacity(opts.CacheCapacity, len(o.cells))
-		ecap := perCellCapacity(opts.EstimateCacheCapacity, len(o.cells))
-		for c := range o.cells {
-			o.scores[c] = score.NewCache()
-			o.scores[c].SetMetrics(o.met.score)
-			o.scores[c].SetCapacity(scap)
-			o.estimates[c] = score.NewEstimates()
-			o.estimates[c].SetMetrics(o.met.estimates)
-			o.estimates[c].SetCapacity(ecap)
-		}
-	}
-	for s := range opts.Profiles {
-		o.machines = append(o.machines, newMachine(opts, opts.Profiles[s], o.scores[o.cellOf[s]], o.met.dyn))
-	}
-	o.delta = make([]cellDelta, len(o.cells))
-	o.lat = make([]cellLatency, len(o.cells))
 	// The orchestrator owns its profile list: AddServer grows it, and a
 	// caller mutating its own slice must not alias ours.
 	o.opts.Profiles = append([]string(nil), opts.Profiles...)
-	return o, nil
+	n := len(o.opts.Profiles)
+	o.cellOf = make([]int, n)
+	o.localIdx = make([]int, n)
+	for s, p := range o.opts.Profiles {
+		o.cellOf[s], o.localIdx[s] = -1, -1
+		o.machines = append(o.machines, newMachine(o.opts, p, nil, o.met.dyn))
+	}
+	for _, members := range cells {
+		c := o.foundCell()
+		o.cells[c] = members
+		o.installCell(c, members)
+	}
+	return o
 }
 
-// perCellCapacity splits a fleet-wide cache bound across cells (0 stays
-// unbounded).
-func perCellCapacity(capacity, cells int) int {
-	if capacity <= 0 || cells <= 1 {
-		return capacity
+// foundCell appends an empty cell — no machines, no stored outcome, a
+// fresh latency window, and its own score and estimate cache shards
+// (none when Options.DisableScoreCache) — and returns its index.
+func (o *Orchestrator) foundCell() int {
+	c := len(o.cells)
+	o.cells = append(o.cells, nil)
+	o.cellProfiles = append(o.cellProfiles, nil)
+	o.delta = append(o.delta, cellDelta{})
+	o.lat = append(o.lat, cellLatency{})
+	var sc *score.Cache
+	var ec *score.EstimateCache
+	if !o.opts.DisableScoreCache {
+		sc = score.NewCache()
+		sc.SetMetrics(o.met.score)
+		ec = score.NewEstimates()
+		ec.SetMetrics(o.met.estimates)
 	}
-	return (capacity + cells - 1) / cells
+	o.scores = append(o.scores, sc)
+	o.estimates = append(o.estimates, ec)
+	return c
 }
 
 // Servers returns the fleet size.
@@ -587,14 +576,13 @@ func (o *Orchestrator) ScoreStats() (hits, misses, runs int64) {
 
 // CacheSizes reports the current entry counts of the machine-score cache
 // and the estimate cache (summed over the cell shards) — the numbers
-// Options.CacheCapacity / EstimateCacheCapacity bound and
-// Options.CacheSweep drains.
+// Options.CacheSweep bounds.
 func (o *Orchestrator) CacheSizes() (scores, estimates int) {
 	return o.scoreStats().Size, o.estimateStats().Size
 }
 
-// CacheEvictions reports how many entries each cache has dropped to its
-// capacity bound or a generation sweep, summed over the cell shards.
+// CacheEvictions reports how many entries each cache's generation
+// sweeps have dropped, summed over the cell shards.
 func (o *Orchestrator) CacheEvictions() (scores, estimates int64) {
 	return o.scoreStats().Evictions, o.estimateStats().Evictions
 }

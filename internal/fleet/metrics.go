@@ -107,13 +107,13 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 		Hits:      r.Counter("vdesign_score_cache_hits_total", "Machine-score cache hits."),
 		Misses:    r.Counter("vdesign_score_cache_misses_total", "Machine-score cache misses."),
 		Runs:      r.Counter("vdesign_score_advisor_runs_total", "Fresh advisor runs through the score cache."),
-		Evictions: r.Counter("vdesign_score_cache_evictions_total", "Machine-score cache entries evicted (capacity or sweep)."),
+		Evictions: r.Counter("vdesign_score_cache_evictions_total", "Machine-score cache entries dropped by generation sweeps."),
 		Sweeps:    r.Counter("vdesign_score_cache_sweeps_total", "Machine-score cache generation sweeps."),
 	}
 	m.estimates = score.Metrics{
 		Hits:      r.Counter("vdesign_estimate_cache_hits_total", "Estimate cache hits."),
 		Misses:    r.Counter("vdesign_estimate_cache_misses_total", "Estimate cache misses."),
-		Evictions: r.Counter("vdesign_estimate_cache_evictions_total", "Estimate cache entries evicted (capacity or sweep)."),
+		Evictions: r.Counter("vdesign_estimate_cache_evictions_total", "Estimate cache entries dropped by generation sweeps."),
 		Sweeps:    r.Counter("vdesign_estimate_cache_sweeps_total", "Estimate cache generation sweeps."),
 	}
 	m.dyn = dynmgmt.Metrics{
@@ -124,7 +124,6 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 	m.placement = placement.Metrics{
 		GreedySteps:      r.Counter("vdesign_placement_greedy_steps_total", "Candidate machine scorings in the greedy loop."),
 		LocalSearchMoves: r.Counter("vdesign_placement_local_search_moves_total", "Applied local-search moves and swaps."),
-		CellFallthroughs: r.Counter("vdesign_placement_cell_fallthroughs_total", "Cells passed over by the two-level search for lacking headroom."),
 	}
 	return m
 }

@@ -101,22 +101,34 @@ var sectName = map[uint32]string{
 	sectUser:   "USER",
 }
 
-// snapEnc appends primitive values to a growing payload buffer.
-type snapEnc struct{ buf []byte }
+// SnapEncoder appends primitive values to a growing payload buffer in
+// the snapshot's wire format: little-endian fixed-width integers,
+// IEEE-754 float bits, one-byte bools, and u32-length-prefixed strings.
+// It writes every section of the stream, and callers that store their
+// own state in the caller blob (the vdesign layer's tenant registry)
+// write it with the same encoder. The zero value is ready to use.
+type SnapEncoder struct{ buf []byte }
 
-func (e *snapEnc) u32(v uint32) {
+// Bytes returns the encoded payload.
+func (e *SnapEncoder) Bytes() []byte { return e.buf }
+
+// U32 appends a little-endian uint32.
+func (e *SnapEncoder) U32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
-func (e *snapEnc) i64(v int64) {
+// I64 appends a little-endian int64.
+func (e *SnapEncoder) I64(v int64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
 }
 
-func (e *snapEnc) f64(v float64) {
+// F64 appends a float64's IEEE-754 bits.
+func (e *SnapEncoder) F64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-func (e *snapEnc) bool(v bool) {
+// Bool appends one byte, 1 or 0.
+func (e *SnapEncoder) Bool(v bool) {
 	if v {
 		e.buf = append(e.buf, 1)
 	} else {
@@ -124,39 +136,48 @@ func (e *snapEnc) bool(v bool) {
 	}
 }
 
-func (e *snapEnc) str(s string) {
-	e.u32(uint32(len(s)))
+// Str appends a u32 length and the string's bytes.
+func (e *SnapEncoder) Str(s string) {
+	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
-func (e *snapEnc) alloc(a core.Allocation) {
-	e.i64(int64(len(a)))
+// Alloc appends an allocation as an int64 count and its float64 shares.
+func (e *SnapEncoder) Alloc(a core.Allocation) {
+	e.I64(int64(len(a)))
 	for _, v := range a {
-		e.f64(v)
+		e.F64(v)
 	}
 }
 
-// snapDec consumes primitive values from a payload, latching the first
-// error: once err is set every later read returns the zero value, so
-// decode paths can read unconditionally and check err once.
-type snapDec struct {
+// SnapDecoder consumes what SnapEncoder wrote, latching the first error:
+// once an error is set every later read returns the zero value, so
+// decode paths can read unconditionally and check Err (or Finish) once.
+type SnapDecoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *snapDec) fail(format string, args ...any) {
+// NewSnapDecoder starts decoding a payload.
+func NewSnapDecoder(payload []byte) *SnapDecoder { return &SnapDecoder{buf: payload} }
+
+// Err returns the first decoding error, or nil.
+func (d *SnapDecoder) Err() error { return d.err }
+
+// Fail latches a decoding error unless one is already set.
+func (d *SnapDecoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (d *snapDec) take(n int) []byte {
+func (d *SnapDecoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
 	if n < 0 || d.off+n > len(d.buf) {
-		d.fail("truncated payload (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
+		d.Fail("truncated payload (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -164,7 +185,8 @@ func (d *snapDec) take(n int) []byte {
 	return b
 }
 
-func (d *snapDec) u32() uint32 {
+// U32 reads a little-endian uint32.
+func (d *SnapDecoder) U32() uint32 {
 	b := d.take(4)
 	if b == nil {
 		return 0
@@ -172,7 +194,8 @@ func (d *snapDec) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *snapDec) i64() int64 {
+// I64 reads a little-endian int64.
+func (d *SnapDecoder) I64() int64 {
 	b := d.take(8)
 	if b == nil {
 		return 0
@@ -180,7 +203,8 @@ func (d *snapDec) i64() int64 {
 	return int64(binary.LittleEndian.Uint64(b))
 }
 
-func (d *snapDec) f64() float64 {
+// F64 reads a float64 from its IEEE-754 bits.
+func (d *SnapDecoder) F64() float64 {
 	b := d.take(8)
 	if b == nil {
 		return 0
@@ -188,7 +212,8 @@ func (d *snapDec) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-func (d *snapDec) bool() bool {
+// Bool reads one byte, rejecting anything but 0 and 1.
+func (d *SnapDecoder) Bool() bool {
 	b := d.take(1)
 	if b == nil {
 		return false
@@ -199,50 +224,53 @@ func (d *snapDec) bool() bool {
 	case 1:
 		return true
 	}
-	d.fail("invalid bool byte %d", b[0])
+	d.Fail("invalid bool byte %d", b[0])
 	return false
 }
 
-func (d *snapDec) str() string {
-	n := int(d.u32())
+// Str reads a u32-length-prefixed string.
+func (d *SnapDecoder) Str() string {
+	n := int(d.U32())
 	b := d.take(n)
 	return string(b)
 }
 
-// count reads a non-negative element count and sanity-bounds it by the
-// bytes remaining (each element costs at least min bytes), so a
+// Count reads a non-negative int64 element count and sanity-bounds it
+// by the bytes remaining (each element costs at least min bytes), so a
 // corrupted length can never drive a huge allocation.
-func (d *snapDec) count(min int) int {
-	n := d.i64()
+func (d *SnapDecoder) Count(min int) int {
+	n := d.I64()
 	if d.err != nil {
 		return 0
 	}
 	if n < 0 || (min > 0 && n > int64(len(d.buf)-d.off)/int64(min)+1) {
-		d.fail("implausible element count %d with %d bytes left", n, len(d.buf)-d.off)
+		d.Fail("implausible element count %d with %d bytes left", n, len(d.buf)-d.off)
 		return 0
 	}
 	return int(n)
 }
 
-func (d *snapDec) alloc() core.Allocation {
-	n := d.count(8)
+// Alloc reads an allocation written by SnapEncoder.Alloc.
+func (d *SnapDecoder) Alloc() core.Allocation {
+	n := d.Count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	a := make(core.Allocation, n)
 	for j := range a {
-		a[j] = d.f64()
+		a[j] = d.F64()
 	}
 	return a
 }
 
-// finish asserts the payload was consumed exactly.
-func (d *snapDec) finish(section string) error {
+// Finish returns the first decoding error, or an error when the payload
+// was not consumed exactly.
+func (d *SnapDecoder) Finish() error {
 	if d.err != nil {
-		return fmt.Errorf("fleet: snapshot %s section: %w", section, d.err)
+		return d.err
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("fleet: snapshot %s section: %d trailing payload bytes", section, len(d.buf)-d.off)
+		return fmt.Errorf("%d trailing payload bytes", len(d.buf)-d.off)
 	}
 	return nil
 }
@@ -261,10 +289,10 @@ func writeSection(out *bytes.Buffer, id uint32, payload []byte) {
 
 // readSection consumes one framed section, verifying the declared id
 // and the payload CRC.
-func readSection(d *snapDec, wantID uint32) ([]byte, error) {
+func readSection(d *SnapDecoder, wantID uint32) ([]byte, error) {
 	name := sectName[wantID]
-	id := d.u32()
-	n := int(d.u32())
+	id := d.U32()
+	n := int(d.U32())
 	if d.err != nil {
 		return nil, fmt.Errorf("fleet: snapshot: truncated %s section header", name)
 	}
@@ -272,7 +300,7 @@ func readSection(d *snapDec, wantID uint32) ([]byte, error) {
 		return nil, fmt.Errorf("fleet: snapshot: expected %s section (id %d), found id %d", name, wantID, id)
 	}
 	payload := d.take(n)
-	sum := d.u32()
+	sum := d.U32()
 	if d.err != nil {
 		return nil, fmt.Errorf("fleet: snapshot: truncated %s section (declared %d payload bytes)", name, n)
 	}
@@ -308,26 +336,26 @@ func (o *Orchestrator) Snapshot(w io.Writer, user []byte) error {
 }
 
 func (o *Orchestrator) encodeMeta() []byte {
-	var e snapEnc
-	e.i64(int64(o.opts.Cells))
-	e.bool(o.opts.DisableScoreCache)
-	e.i64(int64(o.period))
+	var e SnapEncoder
+	e.I64(int64(o.opts.Cells))
+	e.Bool(o.opts.DisableScoreCache)
+	e.I64(int64(o.period))
 	return e.buf
 }
 
 func (o *Orchestrator) encodeTopo() []byte {
-	var e snapEnc
-	e.i64(int64(len(o.opts.Profiles)))
+	var e SnapEncoder
+	e.I64(int64(len(o.opts.Profiles)))
 	for s, p := range o.opts.Profiles {
-		e.str(p)
-		e.i64(int64(o.cellOf[s]))
-		e.i64(int64(o.localIdx[s]))
+		e.Str(p)
+		e.I64(int64(o.cellOf[s]))
+		e.I64(int64(o.localIdx[s]))
 	}
-	e.i64(int64(len(o.cells)))
+	e.I64(int64(len(o.cells)))
 	for _, servers := range o.cells {
-		e.i64(int64(len(servers)))
+		e.I64(int64(len(servers)))
 		for _, s := range servers {
-			e.i64(int64(s))
+			e.I64(int64(s))
 		}
 	}
 	return e.buf
@@ -339,100 +367,100 @@ func (o *Orchestrator) encodeAssign() []byte {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var e snapEnc
-	e.i64(int64(len(ids)))
+	var e SnapEncoder
+	e.I64(int64(len(ids)))
 	for _, id := range ids {
-		e.str(id)
-		e.i64(int64(o.assignment[id]))
+		e.Str(id)
+		e.I64(int64(o.assignment[id]))
 	}
 	return e.buf
 }
 
 func (o *Orchestrator) encodeLat() []byte {
-	var e snapEnc
-	e.i64(int64(len(o.lat)))
+	var e SnapEncoder
+	e.I64(int64(len(o.lat)))
 	for c := range o.lat {
 		l := &o.lat[c]
-		e.f64(l.ewma)
-		e.i64(int64(l.n))
-		e.i64(int64(l.next))
-		e.i64(int64(l.skip))
-		e.bool(l.stale)
+		e.F64(l.ewma)
+		e.I64(int64(l.n))
+		e.I64(int64(l.next))
+		e.I64(int64(l.skip))
+		e.Bool(l.stale)
 		for _, v := range l.win {
-			e.f64(v)
+			e.F64(v)
 		}
 	}
 	return e.buf
 }
 
 func (o *Orchestrator) encodeManagers() []byte {
-	var e snapEnc
-	e.i64(int64(len(o.machines)))
+	var e SnapEncoder
+	e.I64(int64(len(o.machines)))
 	for _, m := range o.machines {
 		encodeManagerState(&e, m.mgr.Export())
 	}
 	return e.buf
 }
 
-func encodeManagerState(e *snapEnc, s *dynmgmt.StateExport) {
-	e.i64(int64(s.Mode))
-	e.i64(int64(len(s.IDs)))
+func encodeManagerState(e *SnapEncoder, s *dynmgmt.StateExport) {
+	e.I64(int64(s.Mode))
+	e.I64(int64(len(s.IDs)))
 	for _, id := range s.IDs {
-		e.str(id)
+		e.Str(id)
 	}
-	e.i64(int64(len(s.Prev)))
+	e.I64(int64(len(s.Prev)))
 	for _, a := range s.Prev {
-		e.alloc(a)
+		e.Alloc(a)
 	}
-	e.i64(int64(len(s.Tenants)))
+	e.I64(int64(len(s.Tenants)))
 	for _, t := range s.Tenants {
-		e.bool(t.Model != nil)
+		e.Bool(t.Model != nil)
 		if t.Model != nil {
 			encodeModel(e, t.Model)
 		}
-		e.f64(t.PrevAvg)
-		e.f64(t.PrevErr)
-		e.bool(t.HasPrevErr)
-		e.bool(t.Converged)
+		e.F64(t.PrevAvg)
+		e.F64(t.PrevErr)
+		e.Bool(t.HasPrevErr)
+		e.Bool(t.Converged)
 	}
 }
 
-func encodeModel(e *snapEnc, md *refine.ModelExport) {
-	e.i64(int64(md.M))
-	e.bool(md.FirstScaled)
-	e.i64(md.Version)
-	e.i64(int64(len(md.Intervals)))
+func encodeModel(e *SnapEncoder, md *refine.ModelExport) {
+	e.I64(int64(md.M))
+	e.Bool(md.FirstScaled)
+	e.I64(md.Version)
+	e.I64(int64(len(md.Intervals)))
 	for _, iv := range md.Intervals {
-		e.f64(iv.Lo)
-		e.f64(iv.Hi)
-		e.str(iv.Plan)
-		e.i64(int64(len(iv.Alphas)))
+		e.F64(iv.Lo)
+		e.F64(iv.Hi)
+		e.Str(iv.Plan)
+		e.I64(int64(len(iv.Alphas)))
 		for _, a := range iv.Alphas {
-			e.f64(a)
+			e.F64(a)
 		}
-		e.f64(iv.Beta)
-		e.i64(int64(len(iv.Obs)))
+		e.F64(iv.Beta)
+		e.I64(int64(len(iv.Obs)))
 		for _, ob := range iv.Obs {
-			e.alloc(ob.Alloc)
-			e.f64(ob.Act)
+			e.Alloc(ob.Alloc)
+			e.F64(ob.Act)
 		}
 	}
 }
 
 func (o *Orchestrator) encodeEstimates() []byte {
-	var e snapEnc
-	e.bool(!o.opts.DisableScoreCache)
+	var e SnapEncoder
+	e.Bool(!o.opts.DisableScoreCache)
 	if o.opts.DisableScoreCache {
 		return e.buf
 	}
-	e.i64(int64(len(o.estimates)))
+	e.I64(int64(len(o.estimates)))
 	for c := range o.estimates {
 		entries := o.estimates[c].Export()
-		e.i64(int64(len(entries)))
+		e.I64(int64(len(entries)))
 		for _, en := range entries {
-			e.str(en.Key)
-			e.f64(en.Seconds)
-			e.str(en.PlanSig)
+			e.Str(en.Key)
+			e.F64(en.Seconds)
+			e.Str(en.PlanSig)
 		}
 	}
 	return e.buf
@@ -454,7 +482,6 @@ type snapState struct {
 	period            int
 	profiles          []string
 	cellOf            []int
-	localIdx          []int
 	cells             [][]int
 	assignment        map[string]int
 	lat               []cellLatency
@@ -491,14 +518,8 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 
 	// Validate the caller's options exactly as New would, plus the
 	// topology-fixed fields against the snapshot.
-	if len(opts.Profiles) == 0 {
-		return nil, nil, errors.New("fleet: no servers (Options.Profiles is empty)")
-	}
 	if err := checkOptions(opts); err != nil {
 		return nil, nil, err
-	}
-	if opts.Cells < 0 {
-		return nil, nil, fmt.Errorf("fleet: negative cell size %d", opts.Cells)
 	}
 	if opts.Cells != st.cellsOpt {
 		return nil, nil, fmt.Errorf("fleet: snapshot was taken with Cells=%d, restore options have Cells=%d", st.cellsOpt, opts.Cells)
@@ -515,58 +536,23 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 		}
 	}
 
-	// Build a fresh orchestrator mirroring New, then install the staged
-	// state. Nothing below can fail except manager import, which happens
-	// before the orchestrator is returned — the partially-built value is
-	// simply dropped on error, never observable.
-	o := &Orchestrator{
-		opts:       opts,
-		assignment: st.assignment,
-		lastSig:    map[string]tenantSig{},
-		period:     st.period,
-	}
-	o.met = newFleetMetrics(opts.Metrics)
-	o.opts.Profiles = append([]string(nil), opts.Profiles...)
-	o.cells = st.cells
-	o.cellOf = st.cellOf
-	o.localIdx = st.localIdx
-	o.cellProfiles = make([][]string, len(o.cells))
-	for c, servers := range o.cells {
-		profiles := make([]string, len(servers))
-		for l, s := range servers {
-			profiles[l] = o.opts.Profiles[s]
-		}
-		o.cellProfiles[c] = profiles
-	}
-	o.scores = make([]*score.Cache, len(o.cells))
-	o.estimates = make([]*score.EstimateCache, len(o.cells))
-	if !opts.DisableScoreCache {
-		scap := perCellCapacity(opts.CacheCapacity, len(o.cells))
-		ecap := perCellCapacity(opts.EstimateCacheCapacity, len(o.cells))
-		for c := range o.cells {
-			o.scores[c] = score.NewCache()
-			o.scores[c].SetMetrics(o.met.score)
-			o.scores[c].SetCapacity(scap)
-			o.estimates[c] = score.NewEstimates()
-			o.estimates[c].SetMetrics(o.met.estimates)
-			o.estimates[c].SetCapacity(ecap)
-		}
-	}
-	for s := range o.opts.Profiles {
-		var shard *score.Cache
-		if o.cellOf[s] >= 0 {
-			shard = o.scores[o.cellOf[s]]
-		}
-		m := newMachine(o.opts, o.opts.Profiles[s], shard, o.met.dyn)
+	// Build through New's constructor over the snapshot's partition —
+	// never a recomputed one: AddServer, RemoveServer and auto-tune edits
+	// leave partitions placement.PartitionCells would not produce — then
+	// install the staged state. Nothing below can fail except manager
+	// import, which happens before the orchestrator is returned — the
+	// partially-built value is simply dropped on error, never observable.
+	// Restored cells have no stored outcome, so they are dirty and
+	// recompute once, bit-identically (replay ≡ recompute).
+	o := newOrchestrator(opts, st.cells)
+	o.assignment = st.assignment
+	o.period = st.period
+	o.lat = st.lat
+	for s, m := range o.machines {
 		if err := m.mgr.Import(st.mgrs[s]); err != nil {
 			return nil, nil, fmt.Errorf("fleet: snapshot: server %d manager: %w", s, err)
 		}
-		o.machines = append(o.machines, m)
 	}
-	// No stored outcomes: restored cells are dirty and recompute once,
-	// bit-identically (replay ≡ recompute).
-	o.delta = make([]cellDelta, len(o.cells))
-	o.lat = st.lat
 	if st.estPresent && (ropts == nil || !ropts.SkipCachePriming) {
 		for c := range o.estimates {
 			o.estimates[c].Prime(st.est[c])
@@ -577,12 +563,12 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 
 // parseSnapshot decodes and fully validates a snapshot stream.
 func parseSnapshot(raw []byte) (*snapState, error) {
-	d := &snapDec{buf: raw}
+	d := NewSnapDecoder(raw)
 	magic := d.take(len(snapMagic))
 	if d.err != nil || string(magic) != snapMagic {
 		return nil, errors.New("fleet: snapshot: bad magic (not a fleet snapshot)")
 	}
-	ver := d.u32()
+	ver := d.U32()
 	if d.err != nil {
 		return nil, errors.New("fleet: snapshot: truncated before format version")
 	}
@@ -593,7 +579,7 @@ func parseSnapshot(raw []byte) (*snapState, error) {
 	st := &snapState{}
 	type sectionParser struct {
 		id    uint32
-		parse func(*snapDec) error
+		parse func(*SnapDecoder) error
 	}
 	order := []sectionParser{
 		{sectMeta, st.parseMeta},
@@ -609,12 +595,12 @@ func parseSnapshot(raw []byte) (*snapState, error) {
 		if err != nil {
 			return nil, err
 		}
-		pd := &snapDec{buf: payload}
+		pd := NewSnapDecoder(payload)
 		if err := sp.parse(pd); err != nil {
 			return nil, err
 		}
-		if err := pd.finish(sectName[sp.id]); err != nil {
-			return nil, err
+		if err := pd.Finish(); err != nil {
+			return nil, fmt.Errorf("fleet: snapshot %s section: %w", sectName[sp.id], err)
 		}
 	}
 	if _, err := readSection(d, sectEnd); err != nil {
@@ -626,66 +612,66 @@ func parseSnapshot(raw []byte) (*snapState, error) {
 	return st, nil
 }
 
-func (st *snapState) parseMeta(d *snapDec) error {
-	st.cellsOpt = int(d.i64())
-	st.disableScoreCache = d.bool()
-	st.period = int(d.i64())
+func (st *snapState) parseMeta(d *SnapDecoder) error {
+	st.cellsOpt = int(d.I64())
+	st.disableScoreCache = d.Bool()
+	st.period = int(d.I64())
 	if d.err == nil && st.period < 0 {
-		d.fail("negative period counter %d", st.period)
+		d.Fail("negative period counter %d", st.period)
 	}
 	return nil
 }
 
-func (st *snapState) parseTopo(d *snapDec) error {
-	ns := d.count(1)
+func (st *snapState) parseTopo(d *SnapDecoder) error {
+	ns := d.Count(1)
 	if d.err != nil {
 		return nil
 	}
 	if ns == 0 {
-		d.fail("no servers")
+		d.Fail("no servers")
 		return nil
 	}
 	st.profiles = make([]string, ns)
 	st.cellOf = make([]int, ns)
-	st.localIdx = make([]int, ns)
+	localIdx := make([]int, ns)
 	for s := 0; s < ns; s++ {
-		st.profiles[s] = d.str()
-		st.cellOf[s] = int(d.i64())
-		st.localIdx[s] = int(d.i64())
+		st.profiles[s] = d.Str()
+		st.cellOf[s] = int(d.I64())
+		localIdx[s] = int(d.I64())
 	}
-	nc := d.count(8)
+	nc := d.Count(8)
 	if d.err != nil {
 		return nil
 	}
 	if nc == 0 {
-		d.fail("no cells")
+		d.Fail("no cells")
 		return nil
 	}
 	st.cells = make([][]int, nc)
 	seen := make([]bool, ns)
 	for c := 0; c < nc; c++ {
-		n := d.count(8)
+		n := d.Count(8)
 		if d.err != nil {
 			return nil
 		}
 		members := make([]int, n)
 		for l := 0; l < n; l++ {
-			s := int(d.i64())
+			s := int(d.I64())
 			if d.err != nil {
 				return nil
 			}
 			if s < 0 || s >= ns {
-				d.fail("cell %d member %d out of range (fleet of %d)", c, s, ns)
+				d.Fail("cell %d member %d out of range (fleet of %d)", c, s, ns)
 				return nil
 			}
 			if seen[s] {
-				d.fail("server %d appears in two cells", s)
+				d.Fail("server %d appears in two cells", s)
 				return nil
 			}
 			seen[s] = true
-			if st.cellOf[s] != c || st.localIdx[s] != l {
-				d.fail("server %d index mismatch: listed at cell %d slot %d, indexed at cell %d slot %d",
-					s, c, l, st.cellOf[s], st.localIdx[s])
+			if st.cellOf[s] != c || localIdx[s] != l {
+				d.Fail("server %d index mismatch: listed at cell %d slot %d, indexed at cell %d slot %d",
+					s, c, l, st.cellOf[s], localIdx[s])
 				return nil
 			}
 			members[l] = s
@@ -694,35 +680,35 @@ func (st *snapState) parseTopo(d *snapDec) error {
 	}
 	for s := 0; s < ns; s++ {
 		if !seen[s] && st.cellOf[s] != -1 {
-			d.fail("server %d indexed to cell %d but listed in none", s, st.cellOf[s])
+			d.Fail("server %d indexed to cell %d but listed in none", s, st.cellOf[s])
 			return nil
 		}
 	}
 	return nil
 }
 
-func (st *snapState) parseAssign(d *snapDec) error {
-	n := d.count(12)
+func (st *snapState) parseAssign(d *SnapDecoder) error {
+	n := d.Count(12)
 	if d.err != nil {
 		return nil
 	}
 	st.assignment = make(map[string]int, n)
 	for i := 0; i < n; i++ {
-		id := d.str()
-		s := int(d.i64())
+		id := d.Str()
+		s := int(d.I64())
 		if d.err != nil {
 			return nil
 		}
 		if _, dup := st.assignment[id]; dup {
-			d.fail("tenant %q assigned twice", id)
+			d.Fail("tenant %q assigned twice", id)
 			return nil
 		}
 		if s < 0 || s >= len(st.profiles) {
-			d.fail("tenant %q assigned to server %d (fleet of %d)", id, s, len(st.profiles))
+			d.Fail("tenant %q assigned to server %d (fleet of %d)", id, s, len(st.profiles))
 			return nil
 		}
 		if st.cellOf[s] < 0 {
-			d.fail("tenant %q assigned to removed server %d", id, s)
+			d.Fail("tenant %q assigned to removed server %d", id, s)
 			return nil
 		}
 		st.assignment[id] = s
@@ -730,44 +716,44 @@ func (st *snapState) parseAssign(d *snapDec) error {
 	return nil
 }
 
-func (st *snapState) parseLat(d *snapDec) error {
-	nc := d.count(8*(4+autotuneWindow) + 1)
+func (st *snapState) parseLat(d *SnapDecoder) error {
+	nc := d.Count(8*(4+autotuneWindow) + 1)
 	if d.err != nil {
 		return nil
 	}
 	if nc != len(st.cells) {
-		d.fail("latency state for %d cells, topology has %d", nc, len(st.cells))
+		d.Fail("latency state for %d cells, topology has %d", nc, len(st.cells))
 		return nil
 	}
 	st.lat = make([]cellLatency, nc)
 	for c := 0; c < nc; c++ {
 		l := &st.lat[c]
-		l.ewma = d.f64()
-		l.n = int(d.i64())
-		l.next = int(d.i64())
-		l.skip = int(d.i64())
-		l.stale = d.bool()
+		l.ewma = d.F64()
+		l.n = int(d.I64())
+		l.next = int(d.I64())
+		l.skip = int(d.I64())
+		l.stale = d.Bool()
 		for j := range l.win {
-			l.win[j] = d.f64()
+			l.win[j] = d.F64()
 		}
 		if d.err != nil {
 			return nil
 		}
 		if l.n < 0 || l.n > autotuneWindow || l.next < 0 || l.next >= autotuneWindow || l.skip < 0 {
-			d.fail("cell %d latency window out of range (n=%d next=%d skip=%d)", c, l.n, l.next, l.skip)
+			d.Fail("cell %d latency window out of range (n=%d next=%d skip=%d)", c, l.n, l.next, l.skip)
 			return nil
 		}
 	}
 	return nil
 }
 
-func (st *snapState) parseMgrs(d *snapDec) error {
-	ns := d.count(4)
+func (st *snapState) parseMgrs(d *SnapDecoder) error {
+	ns := d.Count(4)
 	if d.err != nil {
 		return nil
 	}
 	if ns != len(st.profiles) {
-		d.fail("manager state for %d servers, topology has %d", ns, len(st.profiles))
+		d.Fail("manager state for %d servers, topology has %d", ns, len(st.profiles))
 		return nil
 	}
 	st.mgrs = make([]*dynmgmt.StateExport, ns)
@@ -780,80 +766,80 @@ func (st *snapState) parseMgrs(d *snapDec) error {
 	return nil
 }
 
-func decodeManagerState(d *snapDec) *dynmgmt.StateExport {
-	s := &dynmgmt.StateExport{Mode: int(d.i64())}
-	nIDs := d.count(4)
+func decodeManagerState(d *SnapDecoder) *dynmgmt.StateExport {
+	s := &dynmgmt.StateExport{Mode: int(d.I64())}
+	nIDs := d.Count(4)
 	for i := 0; i < nIDs && d.err == nil; i++ {
-		s.IDs = append(s.IDs, d.str())
+		s.IDs = append(s.IDs, d.Str())
 	}
-	nPrev := d.count(8)
+	nPrev := d.Count(8)
 	for i := 0; i < nPrev && d.err == nil; i++ {
-		s.Prev = append(s.Prev, d.alloc())
+		s.Prev = append(s.Prev, d.Alloc())
 	}
-	nTen := d.count(27)
+	nTen := d.Count(27)
 	for i := 0; i < nTen && d.err == nil; i++ {
 		var t dynmgmt.TenantExport
-		if d.bool() {
+		if d.Bool() {
 			t.Model = decodeModel(d)
 		}
-		t.PrevAvg = d.f64()
-		t.PrevErr = d.f64()
-		t.HasPrevErr = d.bool()
-		t.Converged = d.bool()
+		t.PrevAvg = d.F64()
+		t.PrevErr = d.F64()
+		t.HasPrevErr = d.Bool()
+		t.Converged = d.Bool()
 		s.Tenants = append(s.Tenants, t)
 	}
 	return s
 }
 
-func decodeModel(d *snapDec) *refine.ModelExport {
-	md := &refine.ModelExport{M: int(d.i64())}
-	md.FirstScaled = d.bool()
-	md.Version = d.i64()
-	n := d.count(41)
+func decodeModel(d *SnapDecoder) *refine.ModelExport {
+	md := &refine.ModelExport{M: int(d.I64())}
+	md.FirstScaled = d.Bool()
+	md.Version = d.I64()
+	n := d.Count(41)
 	for i := 0; i < n && d.err == nil; i++ {
-		iv := refine.IntervalExport{Lo: d.f64(), Hi: d.f64(), Plan: d.str()}
-		na := d.count(8)
+		iv := refine.IntervalExport{Lo: d.F64(), Hi: d.F64(), Plan: d.Str()}
+		na := d.Count(8)
 		for j := 0; j < na && d.err == nil; j++ {
-			iv.Alphas = append(iv.Alphas, d.f64())
+			iv.Alphas = append(iv.Alphas, d.F64())
 		}
-		iv.Beta = d.f64()
-		no := d.count(16)
+		iv.Beta = d.F64()
+		no := d.Count(16)
 		for j := 0; j < no && d.err == nil; j++ {
-			iv.Obs = append(iv.Obs, refine.Obs{Alloc: d.alloc(), Act: d.f64()})
+			iv.Obs = append(iv.Obs, refine.Obs{Alloc: d.Alloc(), Act: d.F64()})
 		}
 		md.Intervals = append(md.Intervals, iv)
 	}
 	return md
 }
 
-func (st *snapState) parseEst(d *snapDec) error {
-	st.estPresent = d.bool()
+func (st *snapState) parseEst(d *SnapDecoder) error {
+	st.estPresent = d.Bool()
 	if d.err != nil {
 		return nil
 	}
 	if st.estPresent == st.disableScoreCache {
-		d.fail("estimate section presence %v contradicts DisableScoreCache=%v", st.estPresent, st.disableScoreCache)
+		d.Fail("estimate section presence %v contradicts DisableScoreCache=%v", st.estPresent, st.disableScoreCache)
 		return nil
 	}
 	if !st.estPresent {
 		return nil
 	}
-	nc := d.count(8)
+	nc := d.Count(8)
 	if d.err != nil {
 		return nil
 	}
 	if nc != len(st.cells) {
-		d.fail("estimate entries for %d cells, topology has %d", nc, len(st.cells))
+		d.Fail("estimate entries for %d cells, topology has %d", nc, len(st.cells))
 		return nil
 	}
 	st.est = make([][]score.EstimateEntry, nc)
 	for c := 0; c < nc; c++ {
-		n := d.count(16)
+		n := d.Count(16)
 		for i := 0; i < n && d.err == nil; i++ {
 			st.est[c] = append(st.est[c], score.EstimateEntry{
-				Key:     d.str(),
-				Seconds: d.f64(),
-				PlanSig: d.str(),
+				Key:     d.Str(),
+				Seconds: d.F64(),
+				PlanSig: d.Str(),
 			})
 		}
 		if d.err != nil {
@@ -863,7 +849,7 @@ func (st *snapState) parseEst(d *snapDec) error {
 	return nil
 }
 
-func (st *snapState) parseUser(d *snapDec) error {
+func (st *snapState) parseUser(d *SnapDecoder) error {
 	if len(d.buf) > 0 {
 		st.user = append([]byte(nil), d.buf...)
 	}

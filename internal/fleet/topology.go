@@ -13,8 +13,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/score"
 )
 
 // AddServer grows the fleet by one machine of the given hardware
@@ -60,28 +58,7 @@ func (o *Orchestrator) AddServer(profile string) int {
 	s := len(o.machines)
 	if target < 0 {
 		// Every cell is full (or emptied): found a new cell.
-		target = len(o.cells)
-		o.cells = append(o.cells, nil)
-		o.cellProfiles = append(o.cellProfiles, nil)
-		o.delta = append(o.delta, cellDelta{})
-		o.lat = append(o.lat, cellLatency{})
-		var sc *score.Cache
-		var ec *score.EstimateCache
-		if !o.opts.DisableScoreCache {
-			sc = score.NewCache()
-			ec = score.NewEstimates()
-			sc.SetMetrics(o.met.score)
-			ec.SetMetrics(o.met.estimates)
-		}
-		o.scores = append(o.scores, sc)
-		o.estimates = append(o.estimates, ec)
-		// Re-split the fleet-wide capacity bounds over the grown shard set.
-		scap := perCellCapacity(o.opts.CacheCapacity, len(o.cells))
-		ecap := perCellCapacity(o.opts.EstimateCacheCapacity, len(o.cells))
-		for c := range o.scores {
-			o.scores[c].SetCapacity(scap)
-			o.estimates[c].SetCapacity(ecap)
-		}
+		target = o.foundCell()
 	}
 	o.opts.Profiles = append(o.opts.Profiles, profile)
 	o.cells[target] = append(o.cells[target], s)
@@ -146,11 +123,11 @@ func (o *Orchestrator) RemoveServer(server int) error {
 
 // SetOptions retunes a live orchestrator between periods. The topology
 // options are fixed after New — Profiles (use AddServer/RemoveServer),
-// Cells, and DisableScoreCache — and everything else may change:
-// MigrationCost, RebalanceBudget, LocalSearch, AdmitQoS, Incremental,
-// the auto-tuner, the cache bounds, the trace sink, and Core (applied to
-// placement and the cell fan-out; existing managers keep their
-// creation-time Core, which cannot change a report — results are
+// Cells, and DisableScoreCache — and so is the metric registry; every
+// other field may change: MigrationCost, RebalanceBudget, LocalSearch,
+// AdmitQoS, the auto-tuner, the cache sweep, the trace sink, and Core
+// (applied to placement and the cell fan-out; existing managers keep
+// their creation-time Core, which cannot change a report — results are
 // parallelism-independent by design). Every cell is marked for
 // recomputation, since a stored outcome answers only for the options it
 // was computed under; calling it with unchanged options is how a caller
@@ -179,12 +156,6 @@ func (o *Orchestrator) SetOptions(opts Options) error {
 	opts.Metrics = o.opts.Metrics
 	o.opts = opts
 	o.opts.Profiles = append([]string(nil), opts.Profiles...)
-	scap := perCellCapacity(opts.CacheCapacity, len(o.cells))
-	ecap := perCellCapacity(opts.EstimateCacheCapacity, len(o.cells))
-	for c := range o.scores {
-		o.scores[c].SetCapacity(scap)
-		o.estimates[c].SetCapacity(ecap)
-	}
 	for c := range o.delta {
 		o.delta[c].settled = false
 	}

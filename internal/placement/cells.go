@@ -20,12 +20,6 @@ package placement
 // degenerates to exactly the flat enumerator, which is what makes small
 // fleets bit-identical with cells on or off.
 
-import (
-	"strconv"
-	"strings"
-	"sync"
-)
-
 // NumCells returns how many cells a fleet of the given size partitions
 // into under a cell-size bound (≤ 0 disables partitioning: one cell).
 func NumCells(servers, cellSize int) int {
@@ -43,73 +37,17 @@ func NumCells(servers, cellSize int) int {
 // cellSize) — stable across calls, which is what lets a fleet
 // orchestrator shard caches and managers by cell.
 func PartitionCells(profiles []string, cellSize int) [][]int {
-	nc := NumCells(len(profiles), cellSize)
-	cells := make([][]int, nc)
-	for s, c := range cellIndexShared(profiles, cellSize) {
+	cells := make([][]int, NumCells(len(profiles), cellSize))
+	for s, c := range CellIndex(profiles, cellSize) {
 		cells[c] = append(cells[c], s)
 	}
 	return cells
 }
 
-// cellIdxMemo caches recent cell-index computations. The partition is a
-// pure function of (profiles, cellSize), and a fleet presents the same
-// profile slice to every Place call of every period — at 1000 servers
-// the profile-grouped deal (a map of groups plus two passes) is pure
-// waste to redo per call. The memo is tiny (a fleet has one shape, a
-// process a handful) and bounded FIFO; entries are shared read-only.
-var cellIdxMemo = struct {
-	sync.Mutex
-	entries map[string][]int
-	order   []string
-}{entries: map[string][]int{}}
-
-const cellIdxMemoCap = 16
-
-// cellIndexShared returns the memoized cell assignment for (profiles,
-// cellSize). The returned slice is shared across callers and must be
-// treated as read-only.
-func cellIndexShared(profiles []string, cellSize int) []int {
-	var key strings.Builder
-	key.Grow(len(profiles) * 8)
-	key.WriteString(strconv.Itoa(cellSize))
-	for _, p := range profiles {
-		key.WriteByte(0)
-		key.WriteString(p)
-	}
-	k := key.String()
-	m := &cellIdxMemo
-	m.Lock()
-	if idx, ok := m.entries[k]; ok {
-		m.Unlock()
-		return idx
-	}
-	m.Unlock()
-	idx := computeCellIndex(profiles, cellSize)
-	m.Lock()
-	if _, ok := m.entries[k]; !ok {
-		if len(m.order) >= cellIdxMemoCap {
-			delete(m.entries, m.order[0])
-			m.order = m.order[1:]
-		}
-		m.entries[k] = idx
-		m.order = append(m.order, k)
-	}
-	m.Unlock()
-	return idx
-}
-
 // CellIndex returns the per-server cell assignment of PartitionCells:
 // CellIndex(profiles, cellSize)[s] is server s's cell. All indexes are 0
-// when the fleet fits one cell. The result is a fresh copy; the
-// underlying computation is memoized across calls (the partition is what
-// a fleet recomputes most often without it ever changing).
+// when the fleet fits one cell.
 func CellIndex(profiles []string, cellSize int) []int {
-	out := make([]int, len(profiles))
-	copy(out, cellIndexShared(profiles, cellSize))
-	return out
-}
-
-func computeCellIndex(profiles []string, cellSize int) []int {
 	servers := len(profiles)
 	out := make([]int, servers)
 	nc := NumCells(servers, cellSize)
@@ -141,7 +79,7 @@ func computeCellIndex(profiles []string, cellSize int) []int {
 // SplitCellMembers divides one cell's servers into two profile-balanced
 // halves for a partition split: members are grouped by profile class
 // (first-appearance order over the cell's local profile slice, the same
-// order computeCellIndex uses fleet-wide) and dealt with one rolling
+// order CellIndex uses fleet-wide) and dealt with one rolling
 // counter — exactly the two-cell case of the fleet partitioner — so the
 // halves are balanced both in total size (±1, keep gets the extra) and
 // per profile class (±1), and a tenant needing a particular hardware
@@ -189,8 +127,6 @@ type cellState struct {
 	freeSlots []int
 	load      []float64
 	nonFull   [][]int
-	// met counts fallthroughs (optional, nil-safe; see Options.Metrics).
-	met Metrics
 }
 
 // newCellState builds the summaries for a partially seated fleet (the
@@ -204,7 +140,7 @@ func newCellState(sh fleetShape, machines []Machine, totals []float64, capacity,
 		return nil
 	}
 	cs := &cellState{
-		cellOf:    cellIndexShared(sh.profiles, cellSize),
+		cellOf:    CellIndex(sh.profiles, cellSize),
 		nc:        nc,
 		freeSlots: make([]int, nc),
 		load:      make([]float64, nc),
@@ -248,12 +184,10 @@ func (cs *cellState) better(a, b int) bool {
 // O(servers).
 func (cs *cellState) candidates() []bool {
 	chosen := make([]int, 0, 2)
-	var fallthroughs uint64
 	for d := 0; d < len(cs.nonFull[0]); d++ {
 		best := -1
 		for c := 0; c < cs.nc; c++ {
 			if cs.nonFull[c][d] == 0 {
-				fallthroughs++
 				continue
 			}
 			if best < 0 || cs.better(c, best) {
@@ -273,9 +207,6 @@ func (cs *cellState) candidates() []bool {
 		if !dup {
 			chosen = append(chosen, best)
 		}
-	}
-	if fallthroughs > 0 {
-		cs.met.CellFallthroughs.Add(fallthroughs)
 	}
 	if len(chosen) == 0 {
 		return nil

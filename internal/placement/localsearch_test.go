@@ -267,9 +267,9 @@ func TestPlaceUnfingerprintedBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 0 || cache.Hits() != 0 {
-		t.Fatalf("unfingerprinted tenants must not populate the cache: len=%d hits=%d",
-			cache.Len(), cache.Hits())
+	if cache.Size() != 0 || cache.Hits() != 0 {
+		t.Fatalf("unfingerprinted tenants must not populate the cache: size=%d hits=%d",
+			cache.Size(), cache.Hits())
 	}
 	opts.Scores = nil
 	without, err := Place(tenants, opts)
@@ -292,20 +292,20 @@ func TestAdmissible(t *testing.T) {
 		Core:    core.Options{Delta: 0.1, MinShare: 0.5},
 	}
 	tight := []Tenant{mk(50, 20, 0), mk(40, 20, 1.2)}
-	ok, err := Admissible(tight, opts, 1)
+	seat, err := AdmitSeat(tight, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("tight limit on a shared machine should be inadmissible")
+	if seat != -1 {
+		t.Fatalf("tight limit on a shared machine should be inadmissible, got seat %d", seat)
 	}
 	loose := []Tenant{mk(50, 20, 0), mk(40, 20, 3.0)}
-	ok, err = Admissible(loose, opts, 1)
+	seat, err = AdmitSeat(loose, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("loose limit should be admissible")
+	if seat != 0 {
+		t.Fatalf("loose limit should be admitted beside the resident, got seat %d", seat)
 	}
 	// A second (empty) server admits even the tight arrival: it gets a
 	// dedicated machine (degradation 1).
@@ -314,26 +314,26 @@ func TestAdmissible(t *testing.T) {
 		Pinned:  []int{0, -1},
 		Core:    core.Options{Delta: 0.1, MinShare: 0.5},
 	}
-	ok, err = Admissible(tight, two, 1)
+	seat, err = AdmitSeat(tight, two, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("an empty machine should admit any limit")
+	if seat != 1 {
+		t.Fatalf("the empty machine should admit any limit, got seat %d", seat)
 	}
 	// No pinned map at all: every machine is empty, always admissible.
-	ok, err = Admissible(tight, Options{Servers: 1, Core: core.Options{Delta: 0.1}}, 1)
+	seat, err = AdmitSeat(tight, Options{Servers: 1, Core: core.Options{Delta: 0.1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("an empty fleet should admit")
+	if seat != 0 {
+		t.Fatalf("an empty fleet should admit, got seat %d", seat)
 	}
 	// Validation: a pinned arrival is a caller bug.
-	if _, err := Admissible(tight, Options{Servers: 1, Pinned: []int{0, 0}, Core: core.Options{Delta: 0.1}}, 1); err == nil {
+	if _, err := AdmitSeat(tight, Options{Servers: 1, Pinned: []int{0, 0}, Core: core.Options{Delta: 0.1}}, 1); err == nil {
 		t.Fatal("pinned arrival should error")
 	}
-	if _, err := Admissible(tight, opts, 9); err == nil {
+	if _, err := AdmitSeat(tight, opts, 9); err == nil {
 		t.Fatal("out-of-range arrival should error")
 	}
 }

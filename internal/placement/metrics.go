@@ -13,9 +13,4 @@ type Metrics struct {
 	GreedySteps *obs.Counter
 	// LocalSearchMoves counts applied local-search moves and swaps.
 	LocalSearchMoves *obs.Counter
-	// CellFallthroughs counts (cell, profile-class) pairs the two-level
-	// search passed over because the cell had no non-full machine of
-	// that class — the "full cell falls through to the next-ranked one"
-	// path. High rates mean cells are running out of headroom.
-	CellFallthroughs *obs.Counter
 }

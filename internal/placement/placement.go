@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -114,7 +115,7 @@ type Options struct {
 	// calls and monitoring periods: a tenant's dedicated-machine cost and
 	// the grid points its advisor runs visit are evaluated once per
 	// workload version, not once per call. Only fingerprinted tenants use
-	// it (unfingerprinted ones keep the per-call memo); estimates are
+	// it (the rest share a cache that lives for one call); estimates are
 	// deterministic in the key, so results are bit-identical either way.
 	Estimates *score.EstimateCache
 	// LocalSearch bounds the post-greedy refinement rounds: each round
@@ -132,8 +133,8 @@ type Options struct {
 	// places exactly like the flat enumerator, bit for bit. See cells.go.
 	Cells int
 	// Metrics optionally counts the enumerator's work (greedy steps,
-	// local-search moves, cell fallthroughs). The zero value reports
-	// nothing; counting never changes a placement.
+	// local-search moves). The zero value reports nothing; counting never
+	// changes a placement.
 	Metrics Metrics
 	// Trace optionally parents this run's phase spans ("greedy",
 	// "local-search") for the period span tree. Nil traces nothing;
@@ -458,9 +459,6 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 	// below is already exact; otherwise per-cell headroom summaries that
 	// restrict each tenant's scan to the best candidate cells.
 	cells := newCellState(sh, machines, totals, capacity, opts.Cells)
-	if cells != nil {
-		cells.met = opts.Metrics
-	}
 
 	// candidate is one scored "tenant t on machine s" what-if.
 	type candidate struct {
@@ -512,7 +510,7 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 				return fmt.Errorf("placement: scoring %s on server %d: %w", tenants[t].Name, s, err)
 			}
 			cands[c].res = res
-			cands[c].feasible = withinLimits(res, tenants, cands[c].members)
+			cands[c].feasible = WithinLimits(res, tenants, cands[c].members)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -605,36 +603,26 @@ func Capacity(opts Options) int {
 	return int((1 + 1e-9) / opts.Core.MinShare)
 }
 
-// Admissible reports whether at least one machine could host the arrival
-// tenant within every member's degradation limit, with the surviving
-// tenants held on their current machines by Options.Pinned (the arrival's
-// own entry must be -1). It scores each machine with spare capacity over
-// its residents plus the arrival — exactly the configurations a stay-put
-// placement run would price, so with Options.Scores set the subsequent
-// Place call reuses these runs. Fleet-level QoS admission control is
-// built on this: an arrival for which no machine passes is rejected
-// rather than placed best-effort.
+// AdmitSeat returns the smallest-indexed server that can host the
+// arrival tenant beside its pinned residents with every member's
+// degradation limit holding, or -1 when no machine can. The surviving
+// tenants are held on their current machines by Options.Pinned (the
+// arrival's own entry must be -1), and each machine with spare capacity
+// is scored over its residents plus the arrival — exactly the
+// configurations a stay-put placement run would price, so with
+// Options.Scores set the subsequent Place call reuses these runs.
+// Fleet-level QoS admission control is built on this: an arrival no
+// machine can seat is rejected rather than placed best-effort.
 //
 // Admission is checked against the pinned residents only: other
 // unplaced tenants are not considered, and an already-violating resident
-// makes its machine inadmissible for any arrival. Batches of
-// simultaneous arrivals are admitted jointly by seating each admitted
-// arrival through AdmitSeat and pinning it for the next arrival's check.
-func Admissible(tenants []Tenant, opts Options, arrival int) (bool, error) {
-	s, err := AdmitSeat(tenants, opts, arrival)
-	return s >= 0, err
-}
-
-// AdmitSeat returns the smallest-indexed server that can host the
-// arrival tenant beside its pinned residents with every member's
-// degradation limit holding, or -1 when no machine can. The returned
-// seat is how batch admission pins an admitted arrival before checking
-// the next one (greedy seat-and-check): two arrivals that each fit
-// alone but not together are then correctly split instead of both
-// slipping through the incumbent-only check. (Among a profile class's
-// empty interchangeable machines only the first is probed, so the seat
-// is the deterministic canonical choice, not always the literal
-// smallest index.)
+// makes its machine inadmissible for any arrival. The returned seat is
+// how batch admission pins an admitted arrival before checking the next
+// one (greedy seat-and-check): two arrivals that each fit alone but not
+// together are then correctly split instead of both slipping through the
+// incumbent-only check. (Among a profile class's empty interchangeable
+// machines only the first is probed, so the seat is the deterministic
+// canonical choice, not always the literal smallest index.)
 func AdmitSeat(tenants []Tenant, opts Options, arrival int) (int, error) {
 	if arrival < 0 || arrival >= len(tenants) {
 		return -1, fmt.Errorf("placement: arrival index %d of %d tenants", arrival, len(tenants))
@@ -694,7 +682,7 @@ func AdmitSeat(tenants []Tenant, opts Options, arrival int) (int, error) {
 		if err != nil {
 			return -1, fmt.Errorf("placement: admission scoring server %d: %w", s, err)
 		}
-		if withinLimits(res, tenants, members) {
+		if WithinLimits(res, tenants, members) {
 			return s, nil
 		}
 	}
@@ -730,7 +718,7 @@ func ScoreMachine(tenants []Tenant, opts Options, server int, members []int) (*c
 	return sc.recommend(members, sh.profIdx[server], opts.Core.Parallelism)
 }
 
-// scorer carries one Place (or Admissible) call's machine-scoring state:
+// scorer carries one Place (or AdmitSeat) call's machine-scoring state:
 // the tenants, their per-profile memoized estimators, the cache
 // fingerprints, and the resolved fleet shape.
 type scorer struct {
@@ -743,6 +731,11 @@ type scorer struct {
 	// never invokes EstFor for tenants it does not score.
 	mu   sync.Mutex
 	ests [][]core.Estimator // [tenant][distinct profile], nil until used
+	// local memoizes the estimates of tenants the persistent cache
+	// cannot key (no fingerprint, or no Options.Estimates) for this call
+	// only, keyed by the tenant's index in the call; created on first
+	// use.
+	local *score.EstimateCache
 }
 
 func newScorer(tenants []Tenant, sh fleetShape, opts Options) *scorer {
@@ -751,7 +744,7 @@ func newScorer(tenants []Tenant, sh fleetShape, opts Options) *scorer {
 }
 
 // est returns tenant t's estimator for distinct profile d, wrapping it in
-// a cross-run memo on first use: one placement runs the per-machine
+// an estimate cache on first use: one placement runs the per-machine
 // advisor many times over the same estimators, and scoring tenant k on
 // machine s re-visits grid points costed by earlier candidate runs.
 func (sc *scorer) est(t, d int) (core.Estimator, error) {
@@ -777,12 +770,18 @@ func (sc *scorer) est(t, d int) (core.Estimator, error) {
 	// A fingerprinted tenant with a persistent estimate cache shares its
 	// point estimates across Place calls and monitoring periods; its
 	// fingerprint changes with the workload, so reuse is exactly as safe
-	// as the per-call memo. Everyone else memoizes within this call only.
+	// as the per-call cache. Everyone else memoizes within this call
+	// only, under its tenant index. The index key never reaches a shared
+	// cache: recommend decides score-cache eligibility from
+	// Tenant.Fingerprint, not from the wrapper's fingerprint.
 	var me core.Estimator
 	if fp := sc.tenants[t].Fingerprint; fp != "" && sc.opts.Estimates != nil {
 		me = sc.opts.Estimates.Estimator(p, fp, base)
 	} else {
-		me = newMemoEstimator(base)
+		if sc.local == nil {
+			sc.local = score.NewEstimates()
+		}
+		me = sc.local.Estimator(p, strconv.Itoa(t), base)
 	}
 	sc.ests[t][d] = me
 	return me, nil
@@ -827,17 +826,12 @@ func (sc *scorer) recommend(members []int, profile int, workers int) (*core.Resu
 }
 
 // WithinLimits reports whether every member of a scored machine meets
-// its degradation limit — the same predicate admission and local search
-// apply, exported so the fleet rebalancer can check a priced
-// destination run for feasibility instead of paying a second scoring.
-// members indexes into tenants, parallel to the result's slots.
+// its degradation limit — the predicate greedy packing, admission and
+// local search apply (it lives in violators), exported so the fleet
+// rebalancer can check a priced destination run for feasibility instead
+// of paying a second scoring. members indexes into tenants, parallel to
+// the result's slots.
 func WithinLimits(res *core.Result, tenants []Tenant, members []int) bool {
-	return withinLimits(res, tenants, members)
-}
-
-// withinLimits reports whether every member of a scored machine meets
-// its degradation limit (the single limit predicate lives in violators).
-func withinLimits(res *core.Result, tenants []Tenant, members []int) bool {
 	return len(violators(res, tenants, members)) == 0
 }
 
@@ -858,62 +852,4 @@ func limit(t Tenant) float64 {
 // forEachTenant fans fn over the placement layer's own worker pool.
 func forEachTenant(opts Options, n int, fn func(int) error) error {
 	return core.ForEach(opts.Core.Ctx, opts.Core.Parallelism, n, fn)
-}
-
-// memoEstimator caches one tenant's evaluations across the many advisor
-// runs a single placement performs. Each core.Recommend keeps its own
-// per-run memo (and per-run EstimatorCalls/CacheHits accounting, which
-// this wrapper sits below and does not disturb), but successive candidate
-// scorings of the same machine re-visit the same grid points; estimates
-// are deterministic, so serving them from a shared cache is transparent.
-// Entries resolve through sync.Once, so concurrent candidate runs block
-// on one in-flight evaluation instead of duplicating it.
-type memoEstimator struct {
-	est core.Estimator
-	mu  sync.Mutex
-	m   map[string]*memoCell
-}
-
-type memoCell struct {
-	once sync.Once
-	sec  float64
-	sig  string
-	err  error
-}
-
-func newMemoEstimator(est core.Estimator) *memoEstimator {
-	return &memoEstimator{est: est, m: make(map[string]*memoCell)}
-}
-
-var (
-	_ core.Estimator           = (*memoEstimator)(nil)
-	_ core.ConcurrentEstimator = (*memoEstimator)(nil)
-)
-
-func (me *memoEstimator) cell(a core.Allocation) *memoCell {
-	k := core.AllocKey(a)
-	me.mu.Lock()
-	c, ok := me.m[k]
-	if !ok {
-		c = &memoCell{}
-		me.m[k] = c
-	}
-	me.mu.Unlock()
-	return c
-}
-
-// Estimate implements core.Estimator with the cross-run cache.
-func (me *memoEstimator) Estimate(a core.Allocation) (float64, string, error) {
-	c := me.cell(a)
-	c.once.Do(func() { c.sec, c.sig, c.err = me.est.Estimate(a) })
-	return c.sec, c.sig, c.err
-}
-
-// EstimateConcurrent implements core.ConcurrentEstimator, passing the
-// statement-level worker bound through to the wrapped estimator on a
-// cache miss.
-func (me *memoEstimator) EstimateConcurrent(ctx context.Context, workers int, a core.Allocation) (float64, string, error) {
-	c := me.cell(a)
-	c.once.Do(func() { c.sec, c.sig, c.err = core.EstimateWith(ctx, me.est, workers, a) })
-	return c.sec, c.sig, c.err
 }

@@ -1,35 +1,34 @@
 package score
 
 // bounded is the memory policy shared by the package's caches: a
-// string-keyed map with LRU ordering, an optional capacity bound, and a
-// generation sweep for long-lived callers.
+// string-keyed map with a recency list and a generation sweep for
+// long-lived callers.
 //
-// Two complementary mechanisms bound the entry count. A capacity caps the
-// instantaneous size: inserting past it drops the least-recently-used
-// entries first, so the hot working set survives and cold configurations
-// (departed tenants, drifted-away workloads) go first. A generation sweep
-// bounds staleness over time for callers with a natural epoch — the fleet
-// orchestrator advances one generation per monitoring period — by
-// dropping every entry untouched for K consecutive generations, however
-// large or small the map currently is.
+// The sweep bounds staleness over time for callers with a natural epoch
+// — the fleet orchestrator advances one generation per monitoring period
+// — by dropping every entry untouched for K consecutive generations,
+// however large or small the map currently is. Configurations the caller
+// stopped visiting (departed tenants, drifted-away workloads) age out;
+// the working set it keeps touching survives any number of sweeps. The
+// recency list orders entries by last touch: the sweep walks it from the
+// tail, and EstimateCache.Export takes its order from it.
 //
 // Eviction is purely a memory/performance policy: a dropped entry is
 // recomputed on its next request and, results being deterministic,
-// recomputes to the identical value. Evictions can therefore cost re-runs
-// but never change a result.
+// recomputes to the identical value. Evictions can therefore cost
+// re-runs but never change a result.
 //
 // bounded is not safe for concurrent use; the owning cache's mutex guards
 // every call.
 type bounded[V any] struct {
-	m        map[string]*node[V]
-	capacity int   // 0 = unbounded
-	gen      int64 // current generation (beginGeneration advances)
+	m   map[string]*node[V]
+	gen int64 // current generation (beginGeneration advances)
 	// head is the most recently used node, tail the least.
 	head, tail *node[V]
-	evictions  int64 // capacity + sweep drops (not explicit removes)
+	evictions  int64 // sweep drops (not explicit removes)
 }
 
-// node is one entry with its LRU links and last-touched generation.
+// node is one entry with its recency links and last-touched generation.
 type node[V any] struct {
 	key        string
 	val        V
@@ -43,7 +42,7 @@ func (b *bounded[V]) init() {
 	}
 }
 
-// unlink detaches n from the LRU list.
+// unlink detaches n from the recency list.
 func (b *bounded[V]) unlink(n *node[V]) {
 	if n.prev != nil {
 		n.prev.next = n.next
@@ -80,8 +79,8 @@ func (b *bounded[V]) toFront(n *node[V]) {
 	b.pushFront(n)
 }
 
-// get returns the entry for k, touching it: the node moves to the LRU
-// front and its generation stamp advances to the current one.
+// get returns the entry for k, touching it: the node moves to the
+// recency front and its generation stamp advances to the current one.
 func (b *bounded[V]) get(k string) (V, bool) {
 	n, ok := b.m[k]
 	if !ok {
@@ -93,20 +92,13 @@ func (b *bounded[V]) get(k string) (V, bool) {
 	return n.val, true
 }
 
-// put inserts a new entry for k at the LRU front (the key must not be
-// present) and evicts from the tail while over capacity. The entry just
-// inserted is never the one evicted, even at capacity 1.
+// put inserts a new entry for k at the recency front (the key must not
+// be present).
 func (b *bounded[V]) put(k string, v V) {
 	b.init()
 	n := &node[V]{key: k, val: v, gen: b.gen}
 	b.m[k] = n
 	b.pushFront(n)
-	if b.capacity <= 0 {
-		return
-	}
-	for len(b.m) > b.capacity && b.tail != nil && b.tail != n {
-		b.evict(b.tail)
-	}
 }
 
 // evict removes a node under the eviction counter.
@@ -127,25 +119,13 @@ func (b *bounded[V]) remove(n *node[V]) {
 	delete(b.m, n.key)
 }
 
-// setCapacity changes the bound (0 = unbounded), evicting down
-// immediately when the map is over the new capacity.
-func (b *bounded[V]) setCapacity(capacity int) {
-	b.capacity = capacity
-	if capacity <= 0 {
-		return
-	}
-	for len(b.m) > capacity && b.tail != nil {
-		b.evict(b.tail)
-	}
-}
-
 // beginGeneration advances the generation counter. Entries touched from
 // now on are stamped with the new generation.
 func (b *bounded[V]) beginGeneration() { b.gen++ }
 
 // sweep evicts every entry untouched for k or more generations and
 // returns how many were dropped. Touch recency and generation stamps
-// agree along the LRU list (a touch both front-moves and re-stamps), so
+// agree along the recency list (a touch both front-moves and re-stamps), so
 // the scan walks from the tail and stops at the first young entry.
 func (b *bounded[V]) sweep(k int) int {
 	if k <= 0 {

@@ -23,62 +23,6 @@ func fpFor(tenant, version int) string {
 	return fmt.Sprintf("t%d@%d", tenant, version)
 }
 
-func TestCacheCapacityEvictsLRU(t *testing.T) {
-	c := NewCache()
-	c.SetCapacity(2)
-	opts := core.Options{Delta: 0.25}
-	score := func(tenant, version int) {
-		t.Helper()
-		if _, err := c.Recommend("p", []string{fpFor(tenant, version)},
-			[]core.Estimator{estFor(tenant, version)}, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	score(0, 0)
-	score(1, 0)
-	if c.Size() != 2 || c.Evictions() != 0 {
-		t.Fatalf("size=%d evictions=%d", c.Size(), c.Evictions())
-	}
-	score(0, 0) // touch: tenant 0 is now the most recent
-	score(2, 0) // over capacity: tenant 1 (LRU) is evicted
-	if c.Size() != 2 || c.Evictions() != 1 {
-		t.Fatalf("after eviction: size=%d evictions=%d", c.Size(), c.Evictions())
-	}
-	score(0, 0) // survived the eviction: a hit
-	if c.Hits() != 2 {
-		t.Fatalf("touched entry should have survived: hits=%d", c.Hits())
-	}
-	score(1, 0) // evicted: recomputed as a miss, never a wrong answer
-	if h, m, r := c.Stats(); h != 2 || m != 4 || r != 4 {
-		t.Fatalf("re-scoring the evicted entry: hits=%d misses=%d runs=%d", h, m, r)
-	}
-}
-
-func TestCacheSetCapacityShrinksImmediately(t *testing.T) {
-	c := NewCache()
-	opts := core.Options{Delta: 0.25}
-	for i := 0; i < 5; i++ {
-		if _, err := c.Recommend("p", []string{fpFor(i, 0)},
-			[]core.Estimator{estFor(i, 0)}, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.SetCapacity(2)
-	if c.Size() != 2 || c.Evictions() != 3 {
-		t.Fatalf("shrink: size=%d evictions=%d", c.Size(), c.Evictions())
-	}
-	c.SetCapacity(0) // unbounded again
-	for i := 0; i < 5; i++ {
-		if _, err := c.Recommend("p", []string{fpFor(i, 0)},
-			[]core.Estimator{estFor(i, 0)}, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Size() != 5 {
-		t.Fatalf("unbounded after reset: size=%d", c.Size())
-	}
-}
-
 // Generation sweep: entries untouched for K generations are dropped;
 // entries the working set keeps touching survive any number of sweeps.
 func TestCacheGenerationSweep(t *testing.T) {
@@ -152,9 +96,11 @@ func TestEstimateCacheServesAndBounds(t *testing.T) {
 	if calls != 3 || c.Size() != 3 {
 		t.Fatalf("drift/profile must re-evaluate: calls=%d size=%d", calls, c.Size())
 	}
-	c.SetCapacity(1)
-	if c.Size() != 1 || c.Evictions() != 2 {
-		t.Fatalf("capacity shrink: size=%d evictions=%d", c.Size(), c.Evictions())
+	// A sweep keeps what the new generation touched and drops the rest.
+	c.BeginGeneration()
+	est.Estimate(a)
+	if c.Sweep(1) != 2 || c.Size() != 1 || c.Evictions() != 2 {
+		t.Fatalf("sweep after touching one entry: size=%d evictions=%d", c.Size(), c.Evictions())
 	}
 	c.BeginGeneration()
 	if c.Sweep(1) != 1 || c.Size() != 0 {
@@ -171,7 +117,6 @@ func TestEstimateCacheNilAndEmptyFingerprint(t *testing.T) {
 	if nilCache.Size() != 0 || nilCache.Hits() != 0 || nilCache.Evictions() != 0 {
 		t.Fatal("nil cache must be inert")
 	}
-	nilCache.SetCapacity(3)
 	nilCache.BeginGeneration()
 	if nilCache.Sweep(1) != 0 {
 		t.Fatal("nil sweep must be a no-op")
@@ -209,28 +154,19 @@ type refModel struct {
 	version int
 }
 
-// TestCachePropertyRandomOps drives a bounded cache through a long
-// random interleaving of scorings, workload drifts (fingerprint
-// changes), capacity changes, generations, and sweeps, checking after
-// every operation that (a) Size() ≤ capacity whenever a capacity is set,
-// and (b) every result served — cached or fresh — is bit-identical to a
-// direct core.Recommend over the same estimators: a changed fingerprint
-// can never surface a stale entry.
+// TestCachePropertyRandomOps drives a swept cache through a long random
+// interleaving of scorings, workload drifts (fingerprint changes),
+// generations, and sweeps, checking that every result served — cached
+// or fresh — is bit-identical to a direct core.Recommend over the same
+// estimators: neither a changed fingerprint nor a sweep can ever surface
+// a stale entry.
 func TestCachePropertyRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewCache()
 	opts := core.Options{Delta: 0.25}
 	const tenants = 5
 	models := make([]refModel, tenants)
-	capacity := 0
 	profiles := []string{"big", "small"}
-
-	checkInvariant := func(op string) {
-		t.Helper()
-		if capacity > 0 && c.Size() > capacity {
-			t.Fatalf("%s: Size() %d > capacity %d", op, c.Size(), capacity)
-		}
-	}
 
 	for step := 0; step < 600; step++ {
 		switch op := rng.Intn(10); {
@@ -268,20 +204,12 @@ func TestCachePropertyRandomOps(t *testing.T) {
 					}
 				}
 			}
-			checkInvariant("recommend")
 		case op < 7: // drift: a tenant's workload (and fingerprint) changes
 			models[rng.Intn(tenants)].version++
-			checkInvariant("drift")
-		case op < 8: // retune the capacity, including back to unbounded
-			capacity = []int{0, 1, 2, 4, 8}[rng.Intn(5)]
-			c.SetCapacity(capacity)
-			checkInvariant("setcapacity")
 		case op < 9:
 			c.BeginGeneration()
-			checkInvariant("begingeneration")
 		default:
 			c.Sweep(1 + rng.Intn(3))
-			checkInvariant("sweep")
 		}
 	}
 	if c.Hits() == 0 || c.Evictions() == 0 {
@@ -291,13 +219,12 @@ func TestCachePropertyRandomOps(t *testing.T) {
 }
 
 // The estimate cache under the same random-op property: values always
-// match a direct evaluation, and the capacity invariant holds.
+// match a direct evaluation.
 func TestEstimateCachePropertyRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewEstimates()
 	const tenants = 4
 	models := make([]refModel, tenants)
-	capacity := 0
 	allocs := []core.Allocation{{0.25, 0.25}, {0.5, 0.5}, {0.75, 0.25}, {1, 1}}
 
 	for step := 0; step < 800; step++ {
@@ -320,15 +247,9 @@ func TestEstimateCachePropertyRandomOps(t *testing.T) {
 			}
 		case op < 8:
 			models[rng.Intn(tenants)].version++
-		case op < 9:
-			capacity = []int{0, 2, 5, 12}[rng.Intn(4)]
-			c.SetCapacity(capacity)
 		default:
 			c.BeginGeneration()
 			c.Sweep(1 + rng.Intn(2))
-		}
-		if capacity > 0 && c.Size() > capacity {
-			t.Fatalf("step %d: Size() %d > capacity %d", step, c.Size(), capacity)
 		}
 	}
 	if c.Hits() == 0 || c.Evictions() == 0 {

@@ -39,9 +39,8 @@ type estCell struct {
 // Safe for concurrent use.
 //
 // Like the score Cache it is unbounded by default and offers the same
-// two bounding policies — SetCapacity (LRU over point estimates) and
-// BeginGeneration/Sweep — with the same guarantee: eviction can cost
-// re-evaluations, never change a value.
+// bounding policy — BeginGeneration/Sweep — with the same guarantee:
+// eviction can cost re-evaluations, never change a value.
 type EstimateCache struct {
 	mu sync.Mutex
 	b  bounded[*estCell]
@@ -76,8 +75,7 @@ func (c *EstimateCache) Misses() int64 {
 	return c.misses.Load()
 }
 
-// Size reports how many point estimates are cached. With a capacity set,
-// Size() ≤ capacity holds after every operation.
+// Size reports how many point estimates are cached.
 func (c *EstimateCache) Size() int {
 	if c == nil {
 		return 0
@@ -87,7 +85,7 @@ func (c *EstimateCache) Size() int {
 	return len(c.b.m)
 }
 
-// Evictions counts entries dropped by the capacity bound or a sweep.
+// Evictions counts entries dropped by a sweep.
 func (c *EstimateCache) Evictions() int64 {
 	if c == nil {
 		return 0
@@ -108,22 +106,6 @@ func (c *EstimateCache) Snapshot() Stats {
 		Misses:    c.Misses(),
 		Evictions: c.Evictions(),
 		Size:      c.Size(),
-	}
-}
-
-// SetCapacity bounds the cache to at most capacity point estimates with
-// LRU eviction (0 restores the unbounded default).
-func (c *EstimateCache) SetCapacity(capacity int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	ev0 := c.b.evictions
-	c.b.setCapacity(capacity)
-	dropped := c.b.evictions - ev0
-	c.mu.Unlock()
-	if dropped > 0 {
-		c.met.Evictions.Add(uint64(dropped))
 	}
 }
 
@@ -173,7 +155,7 @@ func estKeyPrefix(profile, fp string) string {
 // under (profile, fp). The fingerprint carries the usual contract: it
 // must change whenever the estimator's behaviour changes, so a drifted
 // workload's new fingerprint misses cleanly past the old entries (which
-// age out by LRU or sweep). A nil cache or empty fingerprint returns est
+// age out by sweep). A nil cache or empty fingerprint returns est
 // unchanged. The wrapper implements Fingerprinter (reporting fp), so it
 // composes directly with the score Cache's RecommendEsts path.
 func (c *EstimateCache) Estimator(profile, fp string, est core.Estimator) core.Estimator {
@@ -204,17 +186,12 @@ func (e *cachedEstimator) ScoreFingerprint() string { return e.fp }
 func (e *cachedEstimator) cell(a core.Allocation) (*estCell, string) {
 	k := e.prefix + core.AllocKey(a)
 	e.c.mu.Lock()
-	ev0 := e.c.b.evictions
 	cell, ok := e.c.b.get(k)
 	if !ok {
 		cell = &estCell{}
 		e.c.b.put(k, cell)
 	}
-	dropped := e.c.b.evictions - ev0
 	e.c.mu.Unlock()
-	if dropped > 0 {
-		e.c.met.Evictions.Add(uint64(dropped))
-	}
 	if ok {
 		e.c.hits.Add(1)
 		e.c.met.Hits.Inc()
@@ -269,7 +246,7 @@ type EstimateEntry struct {
 
 // Export returns the cache's resolved entries in least- to
 // most-recently-used order, so Prime inserting them in slice order
-// rebuilds the same LRU order. Unresolved (in-flight) and errored cells
+// rebuilds the same recency order. Unresolved (in-flight) and errored cells
 // are skipped. Call it between periods: it must not race a concurrent
 // evaluation.
 func (c *EstimateCache) Export() []EstimateEntry {
@@ -292,14 +269,13 @@ func (c *EstimateCache) Export() []EstimateEntry {
 // Prime inserts exported entries as already-resolved cells, warming a
 // fresh cache (a restored orchestrator's) without re-evaluating
 // anything. Keys already present are left untouched; priming counts
-// neither hits nor misses; the capacity bound applies as usual, so
-// priming past it evicts from the LRU tail.
+// neither hits nor misses.
 func (c *EstimateCache) Prime(entries []EstimateEntry) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	ev0 := c.b.evictions
+	defer c.mu.Unlock()
 	for _, en := range entries {
 		if _, ok := c.b.m[en.Key]; ok {
 			continue
@@ -307,10 +283,5 @@ func (c *EstimateCache) Prime(entries []EstimateEntry) {
 		cell := &estCell{sec: en.Seconds, sig: en.PlanSig, done: true}
 		cell.once.Do(func() {})
 		c.b.put(en.Key, cell)
-	}
-	dropped := c.b.evictions - ev0
-	c.mu.Unlock()
-	if dropped > 0 {
-		c.met.Evictions.Add(uint64(dropped))
 	}
 }

@@ -16,7 +16,7 @@ type Metrics struct {
 	Hits, Misses *obs.Counter
 	// Runs counts fresh advisor executions (score Cache only).
 	Runs *obs.Counter
-	// Evictions counts entries dropped by capacity bounds or sweeps.
+	// Evictions counts entries dropped by sweeps.
 	Evictions *obs.Counter
 	// Sweeps counts Sweep passes.
 	Sweeps *obs.Counter

@@ -118,25 +118,3 @@ func TestEstimateCacheExportSkipsUnresolvedAndErrored(t *testing.T) {
 		t.Fatalf("exported %d entries, want only the resolved one: %+v", len(entries), entries)
 	}
 }
-
-// The capacity bound applies to priming like any other insert: priming
-// past it evicts from the LRU tail, so the survivors are the
-// most-recently-used entries of the exporting cache.
-func TestEstimateCachePrimeRespectsCapacity(t *testing.T) {
-	c := NewEstimates()
-	c.SetCapacity(2)
-	entries := []EstimateEntry{
-		{Key: "a", Seconds: 1, PlanSig: "s"},
-		{Key: "b", Seconds: 2, PlanSig: "s"},
-		{Key: "c", Seconds: 3, PlanSig: "s"},
-		{Key: "d", Seconds: 4, PlanSig: "s"},
-	}
-	c.Prime(entries)
-	if c.Size() != 2 || c.Evictions() != 2 {
-		t.Fatalf("prime past capacity: size=%d evictions=%d", c.Size(), c.Evictions())
-	}
-	got := c.Export()
-	if len(got) != 2 || got[0].Key != "c" || got[1].Key != "d" {
-		t.Fatalf("survivors %+v, want the last-primed c,d", got)
-	}
-}

@@ -67,13 +67,12 @@ type entry struct {
 //
 // By default entries are never evicted and the cache grows with the
 // number of distinct configurations ever scored. Long-lived callers bound
-// it two ways, separately or together: SetCapacity caps the entry count
-// with least-recently-used eviction, and BeginGeneration/Sweep drop
-// entries untouched for K generations (the fleet orchestrator advances
-// one generation per monitoring period). Eviction is a memory policy
-// only: a dropped configuration re-runs the advisor on its next request
-// and — advisor runs being deterministic — recomputes the identical
-// result, so eviction can cost re-runs but never change one.
+// it with BeginGeneration/Sweep, which drop entries untouched for K
+// generations (the fleet orchestrator advances one generation per
+// monitoring period). Eviction is a memory policy only: a dropped
+// configuration re-runs the advisor on its next request and — advisor
+// runs being deterministic — recomputes the identical result, so
+// eviction can cost re-runs but never change one.
 type Cache struct {
 	mu sync.Mutex
 	b  bounded[*entry]
@@ -159,7 +158,6 @@ func (c *Cache) Snapshot() Stats {
 }
 
 // Size reports how many distinct machine configurations are cached.
-// With a capacity set, Size() ≤ capacity holds after every operation.
 func (c *Cache) Size() int {
 	if c == nil {
 		return 0
@@ -169,10 +167,7 @@ func (c *Cache) Size() int {
 	return len(c.b.m)
 }
 
-// Len is Size under its historical name.
-func (c *Cache) Len() int { return c.Size() }
-
-// Evictions counts entries dropped by the capacity bound or a sweep.
+// Evictions counts entries dropped by a sweep.
 func (c *Cache) Evictions() int64 {
 	if c == nil {
 		return 0
@@ -180,23 +175,6 @@ func (c *Cache) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.b.evictions
-}
-
-// SetCapacity bounds the cache to at most capacity entries, evicting
-// least-recently-used entries first (0 restores the unbounded default).
-// Shrinking below the current size evicts down immediately.
-func (c *Cache) SetCapacity(capacity int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	ev0 := c.b.evictions
-	c.b.setCapacity(capacity)
-	dropped := c.b.evictions - ev0
-	c.mu.Unlock()
-	if dropped > 0 {
-		c.met.Evictions.Add(uint64(dropped))
-	}
 }
 
 // BeginGeneration starts a new generation: entries served or inserted
@@ -213,8 +191,8 @@ func (c *Cache) BeginGeneration() {
 }
 
 // Sweep evicts every entry untouched for k or more generations and
-// returns how many were dropped (0 for k ≤ 0). Like capacity eviction,
-// a sweep can cost re-runs but never changes a result.
+// returns how many were dropped (0 for k ≤ 0). A sweep can cost re-runs
+// but never changes a result.
 func (c *Cache) Sweep(k int) int {
 	if c == nil {
 		return 0
@@ -309,17 +287,12 @@ func (c *Cache) Recommend(profile string, fps []string, ests []core.Estimator, o
 	}
 	k := keyOf(profile, fps, norm)
 	c.mu.Lock()
-	ev0 := c.b.evictions
 	e, ok := c.b.get(k)
 	if !ok {
 		e = &entry{}
 		c.b.put(k, e)
 	}
-	dropped := c.b.evictions - ev0
 	c.mu.Unlock()
-	if dropped > 0 {
-		c.met.Evictions.Add(uint64(dropped))
-	}
 	if ok {
 		c.hits.Add(1)
 		c.met.Hits.Inc()
@@ -335,7 +308,7 @@ func (c *Cache) Recommend(profile string, fps []string, ests []core.Estimator, o
 	if e.err != nil {
 		// Do not cache failures: deterministic errors simply re-run, and
 		// transient ones (context cancellation mid-search) must not stick.
-		// The identity check guards against an eviction-and-replacement
+		// The identity check guards against a sweep-and-replacement
 		// racing in while this run was in flight.
 		c.mu.Lock()
 		if n := c.b.lookup(k); n != nil && n.val == e {

@@ -167,7 +167,7 @@ func TestCacheUncacheableAndNil(t *testing.T) {
 	if _, err := nilCache.Recommend("big", []string{"a", "b"}, es, opts); err != nil {
 		t.Fatal(err)
 	}
-	if nilCache.Hits() != 0 || nilCache.Runs() != 0 || nilCache.Len() != 0 {
+	if nilCache.Hits() != 0 || nilCache.Runs() != 0 || nilCache.Size() != 0 {
 		t.Fatal("nil cache must be inert")
 	}
 
@@ -177,9 +177,9 @@ func TestCacheUncacheableAndNil(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Hits() != 0 || c.Misses() != 0 || c.Runs() != 2 || c.Len() != 0 {
+	if c.Hits() != 0 || c.Misses() != 0 || c.Runs() != 2 || c.Size() != 0 {
 		t.Fatalf("empty fingerprint must bypass the cache: hits=%d misses=%d runs=%d len=%d",
-			c.Hits(), c.Misses(), c.Runs(), c.Len())
+			c.Hits(), c.Misses(), c.Runs(), c.Size())
 	}
 }
 
@@ -200,7 +200,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	if c.Runs() != 2 {
 		t.Fatalf("failed runs must retry, got %d runs", c.Runs())
 	}
-	if c.Len() != 0 {
+	if c.Size() != 0 {
 		t.Fatal("failed entry left in cache")
 	}
 }

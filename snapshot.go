@@ -17,12 +17,9 @@ package vdesign
 // mismatched snapshot leaves the fleet exactly as it was.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,6 +37,9 @@ type FleetRestoreOptions struct {
 
 const (
 	fleetBlobVersion = 1
+	// registryRecordMin is the fewest bytes one tenant record can take:
+	// two empty strings' u32 lengths and four 8-byte fields.
+	registryRecordMin = 2*4 + 4*8
 )
 
 // fleetTenantRecord is one live tenant's registry state in the blob.
@@ -166,7 +166,8 @@ func RestoreFleetFromFile(path string, into *Fleet, opts *FleetRestoreOptions) e
 }
 
 // encodeRegistry serializes the registration counter and every live
-// tenant's registry state (sorted by ID for a canonical stream).
+// tenant's registry state (sorted by ID for a canonical stream) with the
+// snapshot's own codec.
 func (f *Fleet) encodeRegistry() []byte {
 	var live []*FleetTenant
 	for _, t := range f.tenants {
@@ -175,110 +176,55 @@ func (f *Fleet) encodeRegistry() []byte {
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	var buf bytes.Buffer
-	putU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	putI64 := func(v int64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		buf.Write(b[:])
-	}
-	putF64 := func(v float64) { putI64(int64(math.Float64bits(v))) }
-	putStr := func(s string) {
-		putU32(uint32(len(s)))
-		buf.WriteString(s)
-	}
-	putU32(fleetBlobVersion)
-	putI64(int64(f.seq))
-	putI64(int64(len(live)))
+	var e fleet.SnapEncoder
+	e.U32(fleetBlobVersion)
+	e.I64(int64(f.seq))
+	e.I64(int64(len(live)))
 	for _, t := range live {
-		putStr(t.id)
-		putStr(t.key)
-		putI64(int64(t.wver))
-		putI64(int64(t.pin))
-		putF64(t.qos.GainFactor)
-		putF64(t.qos.DegradationLimit)
+		e.Str(t.id)
+		e.Str(t.key)
+		e.I64(int64(t.wver))
+		e.I64(int64(t.pin))
+		e.F64(t.qos.GainFactor)
+		e.F64(t.qos.DegradationLimit)
 	}
-	return buf.Bytes()
+	return e.Bytes()
 }
 
 // decodeRegistry parses the caller blob written by encodeRegistry.
-func decodeRegistry(blob []byte) (seq int, records []fleetTenantRecord, err error) {
-	fail := func(format string, args ...any) (int, []fleetTenantRecord, error) {
-		return 0, nil, fmt.Errorf("vdesign: snapshot tenant registry: "+format, args...)
+func decodeRegistry(blob []byte) (int, []fleetTenantRecord, error) {
+	d := fleet.NewSnapDecoder(blob)
+	if v := d.U32(); d.Err() == nil && v != fleetBlobVersion {
+		d.Fail("unsupported registry version %d", v)
 	}
-	off := 0
-	take := func(n int) []byte {
-		if err != nil || off+n > len(blob) {
-			if err == nil {
-				err = fmt.Errorf("truncated (want %d bytes at offset %d of %d)", n, off, len(blob))
-			}
-			return nil
-		}
-		b := blob[off : off+n]
-		off += n
-		return b
+	seq64 := d.I64()
+	if d.Err() == nil && seq64 < 0 {
+		d.Fail("negative registration counter %d", seq64)
 	}
-	getU32 := func() uint32 {
-		b := take(4)
-		if b == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(b)
-	}
-	getI64 := func() int64 {
-		b := take(8)
-		if b == nil {
-			return 0
-		}
-		return int64(binary.LittleEndian.Uint64(b))
-	}
-	getF64 := func() float64 {
-		b := take(8)
-		if b == nil {
-			return 0
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	getStr := func() string {
-		n := int(getU32())
-		return string(take(n))
-	}
-	if v := getU32(); err == nil && v != fleetBlobVersion {
-		return fail("unsupported registry version %d", v)
-	}
-	seq64 := getI64()
-	n := getI64()
-	if err == nil && (seq64 < 0 || n < 0 || n > int64(len(blob))) {
-		return fail("implausible counters (seq %d, %d tenants)", seq64, n)
-	}
+	n := d.Count(registryRecordMin)
+	var records []fleetTenantRecord
 	seenID := map[string]bool{}
-	for i := int64(0); i < n && err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		rec := fleetTenantRecord{
-			id:    getStr(),
-			key:   getStr(),
-			wver:  int(getI64()),
-			pin:   int(getI64()),
-			gain:  getF64(),
-			limit: getF64(),
+			id:    d.Str(),
+			key:   d.Str(),
+			wver:  int(d.I64()),
+			pin:   int(d.I64()),
+			gain:  d.F64(),
+			limit: d.F64(),
 		}
-		if err != nil {
+		if d.Err() != nil {
 			break
 		}
 		if rec.id == "" || seenID[rec.id] {
-			return fail("empty or duplicate tenant ID %q", rec.id)
+			d.Fail("empty or duplicate tenant ID %q", rec.id)
+			break
 		}
 		seenID[rec.id] = true
 		records = append(records, rec)
 	}
-	if err != nil {
-		return fail("%v", err)
-	}
-	if off != len(blob) {
-		return fail("%d trailing bytes", len(blob)-off)
+	if err := d.Finish(); err != nil {
+		return 0, nil, fmt.Errorf("vdesign: snapshot tenant registry: %w", err)
 	}
 	return int(seq64), records, nil
 }

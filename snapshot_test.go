@@ -7,9 +7,12 @@ package vdesign
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/tpch"
@@ -181,5 +184,57 @@ func TestFleetRestoreRejectionLeavesFleetUsable(t *testing.T) {
 	}
 	if err := RestoreFleet(bytes.NewReader(snap.Bytes()), nil, nil); err == nil {
 		t.Fatal("restore into a nil fleet should error")
+	}
+}
+
+// The tenant registry rides in the snapshot's caller blob, so its bytes
+// are part of the snapshot format: a fixed registry must keep encoding
+// to the same bytes, decode back to the same records, and reject
+// truncated blobs and implausible counts.
+func TestFleetRegistryCodecGolden(t *testing.T) {
+	f := &Fleet{seq: 7, tenants: []*FleetTenant{
+		{id: "b", key: "b#3", wver: 2, qos: QoS{GainFactor: 2, DegradationLimit: 3.5}},
+		{id: "a", key: "a#0", pin: 4},
+		{id: "gone", key: "gone#1", removed: true},
+	}}
+	const golden = "0100000007000000000000000200000000000000" +
+		"01000000610300000061233000000000000000000400000000000000" +
+		"00000000000000000000000000000000" +
+		"01000000620300000062233302000000000000000000000000000000" +
+		"0000000000000040000000000000" + "0c40"
+	blob := f.encodeRegistry()
+	if got := hex.EncodeToString(blob); got != golden {
+		t.Fatalf("registry encoding changed:\n got %s\nwant %s", got, golden)
+	}
+	seq, records, err := decodeRegistry(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []fleetTenantRecord{
+		{id: "a", key: "a#0", pin: 4},
+		{id: "b", key: "b#3", wver: 2, gain: 2, limit: 3.5},
+	}
+	if seq != 7 || !reflect.DeepEqual(records, want) {
+		t.Fatalf("decoded seq %d records %+v, want 7 %+v", seq, records, want)
+	}
+	for n := 0; n < len(blob); n++ {
+		if _, _, err := decodeRegistry(blob[:n]); err == nil {
+			t.Fatalf("registry truncated to %d of %d bytes was accepted", n, len(blob))
+		}
+	}
+	if _, _, err := decodeRegistry(append(append([]byte(nil), blob...), 0)); err == nil {
+		t.Fatal("registry with a trailing byte was accepted")
+	}
+	for _, n := range []int64{-1, 3, 1 << 40} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(bad[12:20], uint64(n))
+		if _, _, err := decodeRegistry(bad); err == nil {
+			t.Fatalf("registry claiming %d tenants was accepted", n)
+		}
+	}
+	badSeq := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(badSeq[4:12], uint64(1<<63))
+	if _, _, err := decodeRegistry(badSeq); err == nil {
+		t.Fatal("registry with a negative registration counter was accepted")
 	}
 }
