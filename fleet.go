@@ -176,7 +176,7 @@ type Fleet struct {
 	tenants  []*FleetTenant
 	seq      int // tenant registration counter (see FleetTenant.key)
 	orch     *fleet.Orchestrator
-	reports  []*FleetPeriodReport
+	reports  []*FleetPeriodReport // the latest reportWindow periods
 	// cellIdx caches the pre-period cell partition for CellOf;
 	// invalidated (by length mismatch) whenever a server is added.
 	cellIdx []int
@@ -498,12 +498,26 @@ func (f *Fleet) Period() (*FleetPeriodReport, error) {
 		}
 	}
 	f.tenants = live
-	out := &FleetPeriodReport{fleet: f, rep: rep, rejected: rejected, reasons: reasons, rebalanced: rebalanced}
+	out := &FleetPeriodReport{rep: rep, rejected: rejected, reasons: reasons, rebalanced: rebalanced}
 	f.reports = append(f.reports, out)
+	if len(f.reports) > reportWindow {
+		// Copy the window down and clear the vacated slots: reslicing
+		// would keep the dropped reports alive in the backing array.
+		n := copy(f.reports, f.reports[len(f.reports)-reportWindow:])
+		clear(f.reports[n:])
+		f.reports = f.reports[:n]
+	}
 	return out, nil
 }
 
-// Report returns the fleet's per-period history so far.
+// reportWindow is how many of the latest period reports a Fleet keeps.
+const reportWindow = 16
+
+// Report returns the reports of the fleet's latest periods, oldest
+// first: all of them up to the 16th period, the last 16 after that.
+// Older reports are dropped and become unreachable, so a long-lived
+// fleet's memory does not grow with its period count; a caller that
+// needs a longer history keeps what Period returns.
 func (f *Fleet) Report() []*FleetPeriodReport {
 	return append([]*FleetPeriodReport(nil), f.reports...)
 }
@@ -572,7 +586,6 @@ func (f *Fleet) CellOf(server int) int {
 
 // FleetPeriodReport is the outcome of one fleet monitoring period.
 type FleetPeriodReport struct {
-	fleet      *Fleet
 	rep        *fleet.PeriodReport
 	rejected   []string
 	reasons    []string

@@ -361,6 +361,38 @@ func TestFleetScoreCacheParityAndSteadyState(t *testing.T) {
 	}
 }
 
+// A long-lived fleet keeps only its latest 16 period reports, and the
+// dropped ones leave no reference behind in the kept slice's spare
+// capacity.
+func TestFleetReportKeepsLatestWindow(t *testing.T) {
+	f := NewFleet(&FleetOptions{Delta: 0.1})
+	if _, err := f.AddServer(MachineProfile{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddTenant("t0", PostgreSQL, tpch.Schema(1), []string{tpch.QueryText(6)}); err != nil {
+		t.Fatal(err)
+	}
+	for period := 1; period <= 40; period++ {
+		if _, err := f.Period(); err != nil {
+			t.Fatalf("period %d: %v", period, err)
+		}
+	}
+	reps := f.Report()
+	if len(reps) != reportWindow || reportWindow != 16 {
+		t.Fatalf("kept %d reports, want 16", len(reps))
+	}
+	for i, r := range reps {
+		if r.Period() != 25+i {
+			t.Fatalf("report %d is period %d, want %d", i, r.Period(), 25+i)
+		}
+	}
+	for i, r := range f.reports[len(f.reports):cap(f.reports)] {
+		if r != nil {
+			t.Fatalf("spare slot %d still holds period %d", i, r.Period())
+		}
+	}
+}
+
 // QoS admission control end-to-end: a tight-limited arrival that cannot
 // share the single machine is rejected (and reported by ID), then
 // admitted once a slot with acceptable degradation exists.

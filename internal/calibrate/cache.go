@@ -2,9 +2,9 @@ package calibrate
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/vmsim"
 )
 
@@ -18,8 +18,9 @@ import (
 // on the same simulated hardware pays for each calibration exactly once.
 //
 // Each profile's calibration runs at most once even under concurrent
-// first requests (singleflight via sync.Once); a calibration error is
-// cached alongside the result, since it is deterministic for the profile.
+// first requests: the caches are singleflight memo tables. A failed
+// calibration is not kept; being deterministic for the profile, a retry
+// fails the same way.
 
 // profileKey folds everything a calibration result depends on into a
 // deterministic map key.
@@ -28,22 +29,9 @@ func profileKey(m *vmsim.Machine, opts Options) string {
 	return fmt.Sprintf("%v|%v|%v|%v", m.HW, m.IOContention, opts.CPUShares, opts.MemShare)
 }
 
-type pgEntry struct {
-	once sync.Once
-	res  *PGResult
-	err  error
-}
-
-type db2Entry struct {
-	once sync.Once
-	res  *DB2Result
-	err  error
-}
-
 var (
-	cacheMu  sync.Mutex
-	pgCache  = make(map[string]*pgEntry)
-	db2Cache = make(map[string]*db2Entry)
+	pgCache  memo.Table[string, *PGResult]
+	db2Cache memo.Table[string, *DB2Result]
 
 	// runs counts actual calibration executions (PG or DB2, cached or
 	// direct) process-wide.
@@ -59,29 +47,13 @@ func Runs() int64 { return runs.Load() }
 // PGFor returns the shared PostgreSQL calibration for the machine's
 // profile, computing it on first use.
 func PGFor(m *vmsim.Machine, opts Options) (*PGResult, error) {
-	k := profileKey(m, opts)
-	cacheMu.Lock()
-	e, ok := pgCache[k]
-	if !ok {
-		e = &pgEntry{}
-		pgCache[k] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() { e.res, e.err = CalibratePG(m, opts) })
-	return e.res, e.err
+	res, _, err := pgCache.Get(profileKey(m, opts), func() (*PGResult, error) { return CalibratePG(m, opts) })
+	return res, err
 }
 
 // DB2For returns the shared DB2 calibration for the machine's profile,
 // computing it on first use.
 func DB2For(m *vmsim.Machine, opts Options) (*DB2Result, error) {
-	k := profileKey(m, opts)
-	cacheMu.Lock()
-	e, ok := db2Cache[k]
-	if !ok {
-		e = &db2Entry{}
-		db2Cache[k] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() { e.res, e.err = CalibrateDB2(m, opts) })
-	return e.res, e.err
+	res, _, err := db2Cache.Get(profileKey(m, opts), func() (*DB2Result, error) { return CalibrateDB2(m, opts) })
+	return res, err
 }

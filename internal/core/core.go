@@ -13,8 +13,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/memo"
 )
 
 // Allocation is the paper's R_i = [r_i1, ..., r_iM]: one share in [0,1]
@@ -47,7 +48,8 @@ func (f EstimatorFunc) Estimate(a Allocation) (float64, string, error) { return 
 
 // Options configures the greedy enumerator.
 type Options struct {
-	// Resources is M, the number of resources being allocated (default 2).
+	// Resources is M, the number of resources being allocated (default 2,
+	// at most 2: CPU and memory, as in the paper's evaluation).
 	Resources int
 	// Delta is the share shifted per iteration (Fig. 11's δ; default 5%).
 	Delta float64
@@ -77,10 +79,11 @@ type Options struct {
 
 // Normalize returns the options as the enumerators will actually run
 // them for n workloads: defaults filled (Resources, Delta, MinShare,
-// MaxIters, unit Gains, +Inf Limits) and QoS vectors validated. It is
-// the single source of truth for defaulting — any layer that needs to
-// compare or key option sets (the machine-score cache) must normalize
-// through here rather than re-deriving the constants.
+// MaxIters, unit Gains, +Inf Limits), Resources bounded by 2 and QoS
+// vectors validated. It is the single source of truth for defaulting —
+// any layer that needs to compare or key option sets (the machine-score
+// cache) must normalize through here rather than re-deriving the
+// constants.
 func (o Options) Normalize(n int) (Options, error) {
 	return o.withDefaults(n)
 }
@@ -91,6 +94,9 @@ func (o Options) withDefaults(n int) (Options, error) {
 	}
 	if o.Resources <= 0 {
 		o.Resources = 2
+	}
+	if o.Resources > 2 {
+		return o, fmt.Errorf("core: %d resources; the advisor allocates CPU and memory (M ≤ 2)", o.Resources)
 	}
 	if o.Delta <= 0 {
 		o.Delta = 0.05
@@ -188,27 +194,10 @@ func (r *Result) Degradations() []float64 {
 	return out
 }
 
-// memoShards stripes each workload's memo cache so concurrent evaluations
-// of different allocations rarely contend on the same lock.
-const memoShards = 16 // power of two
-
-// memoEntry is one cached evaluation. The entry is registered in its shard
-// before the estimator runs and resolved exactly once, so concurrent
-// lookups of the same quantized allocation block on the single in-flight
-// evaluation instead of duplicating it (and EstimatorCalls/CacheHits stay
-// identical to a sequential search).
-type memoEntry struct {
-	once sync.Once
-	sm   Sample
-	err  error
-}
-
-type memoShard struct {
-	mu sync.Mutex
-	m  map[string]*memoEntry
-}
-
-// searcher wraps the estimators with a concurrency-safe memo cache. When
+// searcher wraps the estimators with a per-run memo, one table per
+// workload: concurrent lookups of the same quantized allocation block on
+// the single in-flight evaluation instead of duplicating it, so
+// EstimatorCalls/CacheHits stay identical to a sequential search. When
 // the search runs with Parallelism > 1, estimators implementing
 // ConcurrentEstimator additionally fan the per-statement costing of a
 // cache-missing evaluation across a caller-chosen worker bound: the
@@ -218,7 +207,7 @@ type memoShard struct {
 // multiplying it.
 type searcher struct {
 	ests        []Estimator
-	shards      [][]memoShard // [workload][shard]
+	memos       []memo.Table[AllocKey, Sample] // [workload]
 	calls       atomic.Int64
 	hits        atomic.Int64
 	stmtWorkers int
@@ -226,43 +215,34 @@ type searcher struct {
 }
 
 func newSearcher(ests []Estimator, opts Options) *searcher {
-	s := &searcher{
+	return &searcher{
 		ests:        ests,
-		shards:      make([][]memoShard, len(ests)),
+		memos:       make([]memo.Table[AllocKey, Sample], len(ests)),
 		stmtWorkers: opts.Parallelism,
 		ctx:         opts.Ctx,
 	}
-	for i := range s.shards {
-		s.shards[i] = make([]memoShard, memoShards)
-		for j := range s.shards[i] {
-			s.shards[i][j].m = make(map[string]*memoEntry)
-		}
-	}
-	return s
 }
 
-// AllocKey quantizes an allocation into a stable cache key (1e-6
-// rounding avoids float-noise misses). It is the canonical key for any
-// layer that memoizes per-allocation evaluations — the searcher's
-// per-run memo and the placement layer's cross-run estimator cache use
-// the same function, so the two caches can never quantize differently.
-func AllocKey(a Allocation) string {
-	b := make([]byte, 0, len(a)*8)
-	for _, v := range a {
-		q := int64(math.Round(v * 1e6))
-		b = append(b, byte(q), byte(q>>8), byte(q>>16), byte(q>>24), byte(q>>32), ',')
-	}
-	return string(b)
-}
+// AllocKey is an allocation quantized to 1e-6 shares (the rounding
+// avoids float-noise misses): the canonical key for any memo of
+// per-allocation evaluations — the searcher's per-run memo and the
+// fleet's estimate cache — so no two memos can quantize differently.
+// It is a comparable fixed-size value, so a lookup allocates nothing.
+// Slots past the allocation's length hold −1, so allocations of
+// different lengths never collide.
+type AllocKey [2]int32
 
-// shardOf hashes a memo key onto a shard index (FNV-1a).
-func shardOf(k string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
+// KeyOf quantizes a into its AllocKey. Allocations hold at most two
+// shares (Options.Normalize rejects Resources > 2), each in [0, 1].
+func KeyOf(a Allocation) AllocKey {
+	k := AllocKey{-1, -1}
+	if len(a) > len(k) {
+		panic(fmt.Sprintf("core: %d-resource allocation has no AllocKey", len(a)))
 	}
-	return int(h & (memoShards - 1))
+	for j, v := range a {
+		k[j] = int32(math.Round(v * 1e6))
+	}
+	return k
 }
 
 // cost evaluates workload i at the allocation through the memo.
@@ -270,49 +250,28 @@ func shardOf(k string) int {
 // evaluation: sequential stretches of a search pass the full
 // Parallelism budget, parallel candidate batches pass their batchShare.
 func (s *searcher) cost(i int, a Allocation, stmtWorkers int) (Sample, error) {
-	k := AllocKey(a)
-	sh := &s.shards[i][shardOf(k)]
-	sh.mu.Lock()
-	e, ok := sh.m[k]
-	if !ok {
-		e = &memoEntry{}
-		sh.m[k] = e
-	}
-	sh.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-	}
-	e.once.Do(func() {
+	sm, hit, err := s.memos[i].Get(KeyOf(a), func() (Sample, error) {
 		s.calls.Add(1)
 		sec, sig, err := EstimateWith(s.ctx, s.ests[i], stmtWorkers, a)
 		if err != nil {
-			e.err = fmt.Errorf("core: estimating workload %d at %v: %w", i, a, err)
-			return
+			return Sample{}, fmt.Errorf("core: estimating workload %d at %v: %w", i, a, err)
 		}
-		e.sm = Sample{Alloc: a.Clone(), Seconds: sec, PlanSig: sig}
+		return Sample{Alloc: a.Clone(), Seconds: sec, PlanSig: sig}, nil
 	})
-	return e.sm, e.err
+	if hit {
+		s.hits.Add(1)
+	}
+	return sm, err
 }
 
 // samples collects every resolved evaluation of workload i, sorted by
-// allocation. The memo shards iterate in map order, so without the sort
-// the sample order — and everything fitted to it, like the refinement
-// layer's regression models — would vary run to run even at Parallelism
-// 1; the sort makes Result.Samples (and every layer above it)
-// deterministic. Allocations are unique per sample (one memo entry per
-// quantized key), so the order is total.
+// allocation so that Result.Samples — and everything fitted to it, like
+// the refinement layer's regression models — does not depend on the
+// order in which parallel workers evaluated them. Allocations are unique
+// per sample (one memo entry per quantized key), so the order is total.
 func (s *searcher) samples(i int) []Sample {
 	var out []Sample
-	for j := range s.shards[i] {
-		sh := &s.shards[i][j]
-		sh.mu.Lock()
-		for _, e := range sh.m {
-			if e.err == nil && e.sm.Alloc != nil {
-				out = append(out, e.sm)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	s.memos[i].Walk(func(_ AllocKey, sm Sample) { out = append(out, sm) })
 	sort.Slice(out, func(x, y int) bool {
 		ax, ay := out[x].Alloc, out[y].Alloc
 		for j := range ax {

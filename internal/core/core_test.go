@@ -164,6 +164,29 @@ func TestRecommendOptionValidation(t *testing.T) {
 	if _, err := Recommend(many, Options{MinShare: 0.5}); err == nil {
 		t.Fatal("infeasible MinShare should error")
 	}
+	if _, err := Recommend(ests, Options{Resources: 3}); err == nil {
+		t.Fatal("more than two resources should error")
+	}
+	if _, err := Exhaustive(ests, Options{Resources: 3}); err == nil {
+		t.Fatal("more than two resources should error in the exhaustive oracle too")
+	}
+}
+
+// KeyOf rounds float noise away and keeps allocations of different
+// lengths apart.
+func TestKeyOfQuantizes(t *testing.T) {
+	if KeyOf(Allocation{0.1 + 0.2, 0.7}) != KeyOf(Allocation{0.3, 0.7}) {
+		t.Fatal("float noise below 1e-6 must not change the key")
+	}
+	if KeyOf(Allocation{0.3, 0.7}) == KeyOf(Allocation{0.300001, 0.7}) {
+		t.Fatal("shares 1e-6 apart must key apart")
+	}
+	if KeyOf(Allocation{0.5}) == KeyOf(Allocation{0.5, 0}) || KeyOf(nil) == KeyOf(Allocation{0}) {
+		t.Fatal("allocations of different lengths must key apart")
+	}
+	if got := KeyOf(Allocation{1, 0.05}); got != (AllocKey{1000000, 50000}) {
+		t.Fatalf("KeyOf([1 0.05]) = %v", got)
+	}
 }
 
 // §4.5's headline claim: greedy is very often optimal and always close.

@@ -30,7 +30,7 @@ var disableGreedyDominance bool
 // monoCheck verifies per workload that the samples observed so far are
 // monotone non-increasing: whenever one allocation is elementwise ≤
 // another, its cost is ≥ the other's. Verification is re-run only when
-// the workload's sample count changed, and one violation sticks.
+// the workload's memo grew, and one violation sticks.
 type monoCheck struct {
 	s       *searcher
 	checked []int // sample count at the last verification
@@ -51,10 +51,13 @@ func (m *monoCheck) monotone(i int) bool {
 	if !m.ok[i] {
 		return false
 	}
-	sms := m.s.samples(i)
-	if len(sms) == m.checked[i] {
+	// Between candidate batches nothing is in flight and no entry holds
+	// an error (any error ends the search), so the memo's entry count is
+	// the sample count.
+	if m.s.memos[i].Len() == m.checked[i] {
 		return true
 	}
+	sms := m.s.samples(i)
 	// All pairs over the full set: greedy visits tens of allocations per
 	// workload, so the quadratic check is cheap, and re-checking old
 	// pairs beats incremental bookkeeping that could drift.

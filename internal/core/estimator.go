@@ -13,8 +13,8 @@ import (
 // across `workers` when it implements ConcurrentEstimator and workers > 1,
 // and falling back to a plain Estimate otherwise. The two paths are
 // bit-identical by the ConcurrentEstimator contract; this is the single
-// dispatch point used by the searcher, the placement layer, and its
-// cross-run memo.
+// dispatch point used by the searcher's per-run memo and by the estimate
+// cache (internal/score) that placement and the fleet share across runs.
 func EstimateWith(ctx context.Context, est Estimator, workers int, a Allocation) (float64, string, error) {
 	if ce, ok := est.(ConcurrentEstimator); ok && workers > 1 {
 		return ce.EstimateConcurrent(ctx, workers, a)

@@ -74,17 +74,18 @@ func repairLimits(s *searcher, allocs []Allocation, costs, dedicated []float64, 
 		// reads is ever computed: wave 1 costs the violator's ≤M uplifts;
 		// wave 2 costs donor reductions only on resources whose uplift
 		// actually improves the violator (phase 2 skips the others).
+		type taskKey struct {
+			i int
+			k AllocKey
+		}
 		var tasks []costTask
-		taskAt := make(map[int]map[string]int) // workload → alloc key → index
+		taskAt := make(map[taskKey]int) // (workload, alloc key) → index
 		add := func(i int, a Allocation) {
-			k := AllocKey(a)
-			if taskAt[i] == nil {
-				taskAt[i] = make(map[string]int)
-			}
-			if _, ok := taskAt[i][k]; ok {
+			k := taskKey{i, KeyOf(a)}
+			if _, ok := taskAt[k]; ok {
 				return
 			}
-			taskAt[i][k] = len(tasks)
+			taskAt[k] = len(tasks)
 			tasks = append(tasks, costTask{i: i, a: a})
 		}
 		costFrom := func(start int) error {
@@ -99,7 +100,7 @@ func repairLimits(s *searcher, allocs []Allocation, costs, dedicated []float64, 
 				return nil
 			})
 		}
-		smOf := func(i int, a Allocation) Sample { return tasks[taskAt[i][AllocKey(a)]].sm }
+		smOf := func(i int, a Allocation) Sample { return tasks[taskAt[taskKey{i, KeyOf(a)}]].sm }
 
 		ups := make([]Allocation, opts.Resources)
 		for j := 0; j < opts.Resources; j++ {

@@ -33,7 +33,7 @@ func deltaOptions(sf *simFleet) Options {
 
 // settle runs steady periods until one replays every occupied cell,
 // failing after maxPeriods.
-func settle(t *testing.T, o *Orchestrator, ins []Tenant, maxPeriods int) {
+func settle(t testing.TB, o *Orchestrator, ins []Tenant, maxPeriods int) {
 	t.Helper()
 	for p := 0; p < maxPeriods; p++ {
 		rep, err := o.Period(ins)

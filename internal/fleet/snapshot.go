@@ -38,11 +38,23 @@ package fleet
 //
 // EST is the one section that carries work, not results: point
 // estimates, deterministic in their key, primed back into the estimate
-// caches. It stays because it pays. On fleetbench's restart workload
-// (16 servers, 64 tenants; seeds 1–5, 15 s runs alternating with a
-// build that wrote EST empty, 2-CPU Linux container) dropping it shrank
-// the snapshot from 2.43 MB to 0.076 MB but slowed the first resumed
-// period on every seed: p50 259 → 334 ms, p90 294 → 373 ms.
+// caches. Per cell it holds a table of the distinct strings (profile
+// keys, fingerprints, plan signatures), then one fixed-width row per
+// estimate, least recently used first:
+//
+//	u32 profile | u32 fingerprint | u32 share 0 | u32 share 1 | f64 seconds | u32 plan signature
+//
+// Strings are indices into the cell's table; shares are core.AllocKey's
+// quantized values (int32 bits). Format 2 wrote every entry's key and
+// plan signature in full, although a cell holds few distinct signatures;
+// this layout cut fleetbench's snapshots by 87–90% (medians, 15 s runs
+// alternating with a format-2 build on a 2-CPU Linux container: restart
+// 2.42 → 0.25 MB over seeds 1–10, drift 10.7 → 1.27 MB and steady
+// 21.4 → 2.76 MB over seeds 1–3). EST stays because it pays. On the
+// restart workload (16 servers, 64 tenants; seeds 1–5, alternating with
+// a build that wrote EST empty) dropping the format-2 section shrank the
+// snapshot from 2.43 MB to 0.076 MB but slowed the first resumed period
+// on every seed: p50 259 → 334 ms, p90 294 → 373 ms.
 //
 // The restore contract: Restore parses and validates the ENTIRE stream
 // — magic, version, section order, every CRC, every cross-reference —
@@ -75,7 +87,7 @@ import (
 // other version is rejected.
 const (
 	snapMagic   = "VDFLEET\x00"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // Section IDs, in stream order.
@@ -447,6 +459,10 @@ func encodeModel(e *SnapEncoder, md *refine.ModelExport) {
 	}
 }
 
+// estRowBytes is the width of one EST row: profile, fingerprint and plan
+// signature string indices, two quantized shares and the seconds.
+const estRowBytes = 4 + 4 + 4 + 4 + 8 + 4
+
 func (o *Orchestrator) encodeEstimates() []byte {
 	var e SnapEncoder
 	e.Bool(!o.opts.DisableScoreCache)
@@ -456,11 +472,28 @@ func (o *Orchestrator) encodeEstimates() []byte {
 	e.I64(int64(len(o.estimates)))
 	for c := range o.estimates {
 		entries := o.estimates[c].Export()
+		var strs []string
+		idx := make(map[string]uint32)
+		for _, en := range entries {
+			for _, s := range [...]string{en.Profile, en.Fingerprint, en.PlanSig} {
+				if _, ok := idx[s]; !ok {
+					idx[s] = uint32(len(strs))
+					strs = append(strs, s)
+				}
+			}
+		}
+		e.I64(int64(len(strs)))
+		for _, s := range strs {
+			e.Str(s)
+		}
 		e.I64(int64(len(entries)))
 		for _, en := range entries {
-			e.Str(en.Key)
+			e.U32(idx[en.Profile])
+			e.U32(idx[en.Fingerprint])
+			e.U32(uint32(en.Alloc[0]))
+			e.U32(uint32(en.Alloc[1]))
 			e.F64(en.Seconds)
-			e.Str(en.PlanSig)
+			e.U32(idx[en.PlanSig])
 		}
 	}
 	return e.buf
@@ -824,7 +857,7 @@ func (st *snapState) parseEst(d *SnapDecoder) error {
 	if !st.estPresent {
 		return nil
 	}
-	nc := d.Count(8)
+	nc := d.Count(16)
 	if d.err != nil {
 		return nil
 	}
@@ -834,19 +867,46 @@ func (st *snapState) parseEst(d *SnapDecoder) error {
 	}
 	st.est = make([][]score.EstimateEntry, nc)
 	for c := 0; c < nc; c++ {
-		n := d.Count(16)
-		for i := 0; i < n && d.err == nil; i++ {
-			st.est[c] = append(st.est[c], score.EstimateEntry{
-				Key:     d.Str(),
-				Seconds: d.F64(),
-				PlanSig: d.Str(),
-			})
+		strs := make([]string, d.Count(4))
+		for i := range strs {
+			strs[i] = d.Str()
+		}
+		rows := make([]score.EstimateEntry, d.Count(estRowBytes))
+		str := func(r int, what string) string {
+			i := d.U32()
+			if d.err == nil && int64(i) >= int64(len(strs)) {
+				d.Fail("cell %d row %d: %s string %d is past the cell's %d-string table", c, r, what, i, len(strs))
+			}
+			if d.err != nil {
+				return ""
+			}
+			return strs[i]
+		}
+		for r := 0; r < len(rows) && d.err == nil; r++ {
+			en := &rows[r]
+			en.Profile = str(r, "profile")
+			en.Fingerprint = str(r, "fingerprint")
+			en.Alloc = core.AllocKey{int32(d.U32()), int32(d.U32())}
+			en.Seconds = d.F64()
+			en.PlanSig = str(r, "plan signature")
+			if d.err == nil && !estShares(en.Alloc) {
+				d.Fail("cell %d row %d: shares %v are not a quantized allocation", c, r, en.Alloc)
+			}
 		}
 		if d.err != nil {
 			return nil
 		}
+		st.est[c] = rows
 	}
 	return nil
+}
+
+// estShares reports whether k is what core.KeyOf yields for a fleet
+// allocation: one or two shares in [0, 1], quantized to 0…1e6, with −1
+// in the unused slot of a one-resource allocation.
+func estShares(k core.AllocKey) bool {
+	in := func(q int32) bool { return q >= 0 && q <= 1e6 }
+	return in(k[0]) && (in(k[1]) || k[1] == -1)
 }
 
 func (st *snapState) parseUser(d *SnapDecoder) error {

@@ -241,7 +241,7 @@ type snapFrame struct {
 	payloadStart, payloadEnd int
 }
 
-func snapFrames(t *testing.T, raw []byte) []snapFrame {
+func snapFrames(t testing.TB, raw []byte) []snapFrame {
 	t.Helper()
 	off := len(snapMagic) + 4
 	var frames []snapFrame
@@ -264,72 +264,85 @@ func snapFrames(t *testing.T, raw []byte) []snapFrame {
 	return frames
 }
 
-// The corruption matrix: every damaged form of a valid snapshot —
-// foreign magic, unknown version, truncation at several depths, a bit
-// flipped in each section's payload, trailing garbage, and a
-// semantically invalid payload behind a valid checksum — must be
-// rejected with an error and no orchestrator. Restore builds a fresh
-// orchestrator only after full validation, so rejection can never leave
-// half-restored state.
-func TestFleetSnapshotCorruptionMatrix(t *testing.T) {
+// snapFixture is the corruption matrix's fleet, settled: its options,
+// the inputs it settled on, and its snapshot.
+func snapFixture(t testing.TB) (Options, []Tenant, []byte) {
 	sf := deltaFleet()
 	op := deltaOptions(sf)
 	o, err := New(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenants := baseTenants()
-	settle(t, o, sf.inputs(tenants), 12)
+	ins := sf.inputs(baseTenants())
+	settle(t, o, ins, 12)
 	var buf bytes.Buffer
 	if err := o.Snapshot(&buf, []byte("blob")); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return op, ins, buf.Bytes()
+}
+
+// snapCorruption is one damaged form of a valid snapshot and what its
+// rejection must name ("" for any error).
+type snapCorruption struct {
+	name, want string
+	stream     []byte
+}
+
+// snapCorruptions builds the corruption matrix from a valid snapshot:
+// foreign magic, unknown and retired versions, truncation at several
+// depths, a bit flipped in each section's payload, trailing garbage,
+// and semantically invalid payloads behind valid checksums.
+func snapCorruptions(t testing.TB, raw []byte) []snapCorruption {
 	frames := snapFrames(t, raw)
-
-	// Control: the pristine stream restores.
-	if _, _, err := Restore(bytes.NewReader(raw), op, nil); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
+	frameOf := func(id uint32) snapFrame {
+		for _, f := range frames {
+			if f.id == id {
+				return f
+			}
+		}
+		t.Fatalf("no %s section", sectName[id])
+		return snapFrame{}
 	}
-
-	mustFail := func(name string, stream []byte, wantSub string) {
-		t.Helper()
-		ro, blob, err := Restore(bytes.NewReader(stream), op, nil)
-		if err == nil {
-			t.Fatalf("%s: corrupted snapshot accepted", name)
-		}
-		if ro != nil || blob != nil {
-			t.Fatalf("%s: rejection returned state (%v, %q)", name, ro, blob)
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Fatalf("%s: error %q does not name %q", name, err, wantSub)
-		}
+	var out []snapCorruption
+	add := func(name string, stream []byte, want string) {
+		out = append(out, snapCorruption{name: name, want: want, stream: stream})
 	}
 	mutate := func(f func([]byte)) []byte {
 		c := append([]byte(nil), raw...)
 		f(c)
 		return c
 	}
+	// behindChecksum mutates a section's payload and re-checksums it, so
+	// the content checks, not the CRC, must reject the result.
+	behindChecksum := func(f snapFrame, edit func([]byte)) []byte {
+		return mutate(func(c []byte) {
+			edit(c)
+			binary.LittleEndian.PutUint32(c[f.payloadEnd:], crc32.ChecksumIEEE(c[f.payloadStart:f.payloadEnd]))
+		})
+	}
 
-	mustFail("bad magic", mutate(func(c []byte) { c[0] ^= 0xFF }), "magic")
-	mustFail("wrong version", mutate(func(c []byte) {
+	add("bad magic", mutate(func(c []byte) { c[0] ^= 0xFF }), "magic")
+	add("wrong version", mutate(func(c []byte) {
 		binary.LittleEndian.PutUint32(c[8:], snapVersion+41)
 	}), "version")
-	mustFail("empty stream", nil, "magic")
+	add("version 2 stream", mutate(func(c []byte) {
+		binary.LittleEndian.PutUint32(c[8:], 2)
+	}), "unsupported format version 2")
+	add("empty stream", nil, "magic")
 
 	// Truncations: inside the header, inside a mid-stream section, at
 	// the END boundary (the classic partial write), and mid-CRC.
-	mustFail("truncated header", raw[:len(snapMagic)+2], "")
+	add("truncated header", raw[:len(snapMagic)+2], "")
 	for _, f := range frames {
 		if f.id == sectEnd {
-			mustFail("dropped END section", raw[:f.start], "END")
+			add("dropped END section", raw[:f.start], "END")
 			continue
 		}
-		name := fmt.Sprintf("truncated inside %s", sectName[f.id])
-		mustFail(name, raw[:f.payloadStart+(f.payloadEnd-f.payloadStart)/2], "")
+		add(fmt.Sprintf("truncated inside %s", sectName[f.id]), raw[:f.payloadStart+(f.payloadEnd-f.payloadStart)/2], "")
 	}
-	mustFail("truncated final checksum", raw[:len(raw)-2], "END")
-	mustFail("trailing garbage", append(append([]byte(nil), raw...), 0xAB), "trailing")
+	add("truncated final checksum", raw[:len(raw)-2], "END")
+	add("trailing garbage", append(append([]byte(nil), raw...), 0xAB), "trailing")
 
 	// One flipped bit per section payload: the section's CRC must catch
 	// it and the error must name the section.
@@ -338,29 +351,103 @@ func TestFleetSnapshotCorruptionMatrix(t *testing.T) {
 			continue
 		}
 		mid := f.payloadStart + (f.payloadEnd-f.payloadStart)/2
-		name := fmt.Sprintf("bit flip in %s", sectName[f.id])
-		mustFail(name, mutate(func(c []byte) { c[mid] ^= 0x10 }), sectName[f.id])
+		add(fmt.Sprintf("bit flip in %s", sectName[f.id]), mutate(func(c []byte) { c[mid] ^= 0x10 }), sectName[f.id])
 	}
 
-	// A valid checksum over invalid content: point the first assignment
-	// entry at a server the topology does not have. The cross-reference
-	// validation, not the CRC, must reject it.
-	var assign snapFrame
-	for _, f := range frames {
-		if f.id == sectAssign {
-			assign = f
-		}
-	}
-	if assign.payloadEnd <= assign.payloadStart {
+	// Point the first assignment entry at a server the topology does not
+	// have.
+	assign := frameOf(sectAssign)
+	if assign.payloadEnd <= assign.payloadStart+8 {
 		t.Fatal("fixture snapshot has an empty assignment")
 	}
-	mustFail("out-of-range server behind a valid checksum", mutate(func(c []byte) {
+	add("out-of-range server behind a valid checksum", behindChecksum(assign, func(c []byte) {
 		p := assign.payloadStart + 8 // skip the entry count
 		p += 4 + int(binary.LittleEndian.Uint32(c[p:]))
 		binary.LittleEndian.PutUint64(c[p:], 1<<30)
-		binary.LittleEndian.PutUint32(c[assign.payloadEnd:],
-			crc32.ChecksumIEEE(c[assign.payloadStart:assign.payloadEnd]))
 	}), "assigned to server")
+
+	// EST: presence byte and cell count, then per cell a string table
+	// and its rows. Damage the first row of the first cell that has one.
+	est := frameOf(sectEst)
+	p := est.payloadStart + 1
+	cells := int(binary.LittleEndian.Uint64(raw[p:]))
+	p += 8
+	rowsAt, nstr := -1, 0
+	for c := 0; c < cells && rowsAt < 0; c++ {
+		nstr = int(binary.LittleEndian.Uint64(raw[p:]))
+		p += 8
+		for i := 0; i < nstr; i++ {
+			p += 4 + int(binary.LittleEndian.Uint32(raw[p:]))
+		}
+		rows := int(binary.LittleEndian.Uint64(raw[p:]))
+		if rows > 0 {
+			rowsAt = p
+		}
+		p += 8 + rows*estRowBytes
+	}
+	if rowsAt < 0 {
+		t.Fatal("fixture snapshot has no estimate rows")
+	}
+	row := rowsAt + 8
+	add("EST string index past the table", behindChecksum(est, func(c []byte) {
+		binary.LittleEndian.PutUint32(c[row:], uint32(nstr))
+	}), "EST")
+	add("EST share out of range", behindChecksum(est, func(c []byte) {
+		binary.LittleEndian.PutUint32(c[row+8:], 1e6+1)
+	}), "EST")
+	add("EST row count past the bytes left", behindChecksum(est, func(c []byte) {
+		binary.LittleEndian.PutUint64(c[rowsAt:], 1<<40)
+	}), "EST")
+	return out
+}
+
+// The corruption matrix: every damaged form of a valid snapshot must be
+// rejected with an error naming what is wrong, and no orchestrator.
+// Restore builds a fresh orchestrator only after full validation, so
+// rejection can never leave half-restored state.
+func TestFleetSnapshotCorruptionMatrix(t *testing.T) {
+	op, _, raw := snapFixture(t)
+
+	// Control: the pristine stream restores.
+	if _, _, err := Restore(bytes.NewReader(raw), op, nil); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	for _, bad := range snapCorruptions(t, raw) {
+		ro, blob, err := Restore(bytes.NewReader(bad.stream), op, nil)
+		if err == nil {
+			t.Fatalf("%s: corrupted snapshot accepted", bad.name)
+		}
+		if ro != nil || blob != nil {
+			t.Fatalf("%s: rejection returned state (%v, %q)", bad.name, ro, blob)
+		}
+		if !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("%s: error %q does not name %q", bad.name, err, bad.want)
+		}
+	}
+}
+
+// FuzzRestore feeds the decoder arbitrary streams, seeded with the
+// corruption matrix's snapshot and every damaged form of it. Restore
+// must never panic, and any stream it accepts must yield an orchestrator
+// whose next period succeeds on the fixture's inputs.
+func FuzzRestore(f *testing.F) {
+	op, ins, raw := snapFixture(f)
+	f.Add(raw)
+	for _, bad := range snapCorruptions(f, raw) {
+		f.Add(bad.stream)
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		o, _, err := Restore(bytes.NewReader(stream), op, nil)
+		if err != nil {
+			if o != nil {
+				t.Fatalf("rejection (%v) returned an orchestrator", err)
+			}
+			return
+		}
+		if _, err := o.Period(ins); err != nil {
+			t.Fatalf("restored orchestrator failed its next period: %v", err)
+		}
+	})
 }
 
 // Restore validates the caller's options against the snapshot: the

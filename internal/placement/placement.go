@@ -230,6 +230,11 @@ type fleetShape struct {
 }
 
 func shapeOf(opts Options) (fleetShape, error) {
+	if opts.Core.Resources > 2 {
+		// Rejected before any estimate is memoized: core.AllocKey holds
+		// at most two shares (core.Options.Normalize says the same).
+		return fleetShape{}, fmt.Errorf("placement: %d resources; the advisor allocates CPU and memory (M ≤ 2)", opts.Core.Resources)
+	}
 	profiles := opts.Profiles
 	if len(profiles) == 0 {
 		if opts.Servers < 1 {

@@ -236,6 +236,9 @@ func TestPlaceValidation(t *testing.T) {
 	if _, err := Place(tn, Options{Servers: 0}); err == nil {
 		t.Fatal("zero servers should error")
 	}
+	if _, err := Place(tn, Options{Servers: 1, Core: core.Options{Resources: 3}}); err == nil {
+		t.Fatal("three resources should error")
+	}
 	// MinShare 0.5 → 2 slots per machine; 3 tenants on 1 machine cannot fit.
 	many := []Tenant{
 		{Name: "a", Est: synth(10, 5, 0)},

@@ -12,38 +12,36 @@ package score
 
 import (
 	"context"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 )
 
-// estCell is one cached point estimate, resolved exactly once:
-// concurrent requests for the same (profile, fingerprint, allocation)
-// block on the single in-flight evaluation. done marks a cell whose
-// once body has run — the snapshot exporter's way to tell a resolved
-// value from a cell still being (or never) evaluated.
-type estCell struct {
-	once sync.Once
-	sec  float64
-	sig  string
-	err  error
-	done bool
+// estKey identifies one point estimate. It is a comparable value — the
+// string fields share the caller's memory — so a lookup builds no key.
+type estKey struct {
+	profile, fp string
+	a           core.AllocKey
+}
+
+// estVal is one resolved point estimate.
+type estVal struct {
+	sec float64
+	sig string
 }
 
 // EstimateCache memoizes single what-if estimates by (machine profile,
 // workload fingerprint, allocation), persisting across Place calls and
 // monitoring periods. A nil *EstimateCache is valid and caches nothing.
-// Safe for concurrent use.
+// Safe for concurrent use: concurrent requests for the same estimate
+// block on the single in-flight evaluation.
 //
 // Like the score Cache it is unbounded by default and offers the same
 // bounding policy — BeginGeneration/Sweep — with the same guarantee:
 // eviction can cost re-evaluations, never change a value.
 type EstimateCache struct {
-	mu sync.Mutex
-	b  bounded[*estCell]
+	t memo.Table[estKey, estVal]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -52,11 +50,7 @@ type EstimateCache struct {
 }
 
 // NewEstimates creates an empty, unbounded estimate cache.
-func NewEstimates() *EstimateCache {
-	c := &EstimateCache{}
-	c.b.init()
-	return c
-}
+func NewEstimates() *EstimateCache { return &EstimateCache{} }
 
 // Hits counts estimates served from the cache; Misses counts estimates
 // evaluated fresh through it.
@@ -80,9 +74,7 @@ func (c *EstimateCache) Size() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.b.m)
+	return c.t.Len()
 }
 
 // Evictions counts entries dropped by a sweep.
@@ -90,9 +82,7 @@ func (c *EstimateCache) Evictions() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.b.evictions
+	return c.t.Evictions()
 }
 
 // Snapshot captures the cache's counters (all zero for a nil cache).
@@ -114,9 +104,7 @@ func (c *EstimateCache) BeginGeneration() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.b.beginGeneration()
+	c.t.BeginGeneration()
 }
 
 // Sweep evicts every entry untouched for k or more generations and
@@ -125,30 +113,12 @@ func (c *EstimateCache) Sweep(k int) int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	n := c.b.sweep(k)
-	c.mu.Unlock()
+	n := c.t.Sweep(k)
 	c.met.Sweeps.Inc()
 	if n > 0 {
 		c.met.Evictions.Add(uint64(n))
 	}
 	return n
-}
-
-// estKeyPrefix length-prefixes the identity fields so distinct
-// (profile, fingerprint) pairs can never collide by concatenation.
-func estKeyPrefix(profile, fp string) string {
-	var sb strings.Builder
-	sb.Grow(len(profile) + len(fp) + 16)
-	sb.WriteString(strconv.Itoa(len(profile)))
-	sb.WriteByte('#')
-	sb.WriteString(profile)
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(len(fp)))
-	sb.WriteByte('#')
-	sb.WriteString(fp)
-	sb.WriteByte('|')
-	return sb.String()
 }
 
 // Estimator wraps est so its evaluations are served through the cache
@@ -162,16 +132,15 @@ func (c *EstimateCache) Estimator(profile, fp string, est core.Estimator) core.E
 	if c == nil || fp == "" || est == nil {
 		return est
 	}
-	return &cachedEstimator{c: c, est: est, prefix: estKeyPrefix(profile, fp), fp: fp}
+	return &cachedEstimator{c: c, est: est, profile: profile, fp: fp}
 }
 
 // cachedEstimator serves one (profile, fingerprint)'s estimates from the
 // shared cache.
 type cachedEstimator struct {
-	c      *EstimateCache
-	est    core.Estimator
-	prefix string
-	fp     string
+	c           *EstimateCache
+	est         core.Estimator
+	profile, fp string
 }
 
 var (
@@ -182,106 +151,67 @@ var (
 
 func (e *cachedEstimator) ScoreFingerprint() string { return e.fp }
 
-// cell returns (inserting if needed) the cache cell for one allocation.
-func (e *cachedEstimator) cell(a core.Allocation) (*estCell, string) {
-	k := e.prefix + core.AllocKey(a)
-	e.c.mu.Lock()
-	cell, ok := e.c.b.get(k)
-	if !ok {
-		cell = &estCell{}
-		e.c.b.put(k, cell)
-	}
-	e.c.mu.Unlock()
-	if ok {
+// Estimate is EstimateConcurrent on one worker, which calls est.Estimate.
+func (e *cachedEstimator) Estimate(a core.Allocation) (float64, string, error) {
+	return e.EstimateConcurrent(context.Background(), 1, a)
+}
+
+// EstimateConcurrent serves one allocation's estimate, evaluating it on
+// a miss. Failed evaluations are not kept, so transient errors (context
+// cancellation) never stick, matching the score Cache.
+func (e *cachedEstimator) EstimateConcurrent(ctx context.Context, workers int, a core.Allocation) (float64, string, error) {
+	v, hit, err := e.c.t.Get(estKey{e.profile, e.fp, core.KeyOf(a)}, func() (estVal, error) {
+		sec, sig, err := core.EstimateWith(ctx, e.est, workers, a)
+		return estVal{sec, sig}, err
+	})
+	if hit {
 		e.c.hits.Add(1)
 		e.c.met.Hits.Inc()
 	} else {
 		e.c.misses.Add(1)
 		e.c.met.Misses.Inc()
 	}
-	return cell, k
+	return v.sec, v.sig, err
 }
 
-// resolve finishes a cell: failed evaluations are removed so transient
-// errors (context cancellation) never stick, matching the score Cache.
-func (e *cachedEstimator) resolve(cell *estCell, k string) (float64, string, error) {
-	if cell.err != nil {
-		e.c.mu.Lock()
-		if n := e.c.b.lookup(k); n != nil && n.val == cell {
-			e.c.b.remove(n)
-		}
-		e.c.mu.Unlock()
-	}
-	return cell.sec, cell.sig, cell.err
-}
-
-func (e *cachedEstimator) Estimate(a core.Allocation) (float64, string, error) {
-	cell, k := e.cell(a)
-	cell.once.Do(func() {
-		cell.sec, cell.sig, cell.err = e.est.Estimate(a)
-		cell.done = true
-	})
-	return e.resolve(cell, k)
-}
-
-func (e *cachedEstimator) EstimateConcurrent(ctx context.Context, workers int, a core.Allocation) (float64, string, error) {
-	cell, k := e.cell(a)
-	cell.once.Do(func() {
-		cell.sec, cell.sig, cell.err = core.EstimateWith(ctx, e.est, workers, a)
-		cell.done = true
-	})
-	return e.resolve(cell, k)
-}
-
-// EstimateEntry is one resolved point estimate in a cache's export: the
-// full cache key (profile, fingerprint, allocation — see estKeyPrefix)
-// and the value it resolved to. Estimates are deterministic in the key,
-// so priming another cache with an exported entry reproduces exactly
-// what that cache would have computed.
+// EstimateEntry is one resolved point estimate in a cache's export: its
+// key (machine profile, workload fingerprint, quantized allocation) and
+// the value it resolved to. Estimates are deterministic in the key, so
+// priming another cache with an exported entry reproduces exactly what
+// that cache would have computed.
 type EstimateEntry struct {
-	Key     string
-	Seconds float64
-	PlanSig string
+	Profile     string
+	Fingerprint string
+	Alloc       core.AllocKey
+	Seconds     float64
+	PlanSig     string
 }
 
 // Export returns the cache's resolved entries in least- to
 // most-recently-used order, so Prime inserting them in slice order
-// rebuilds the same recency order. Unresolved (in-flight) and errored cells
-// are skipped. Call it between periods: it must not race a concurrent
-// evaluation.
+// rebuilds the same recency order. Entries still being evaluated are
+// skipped, and failed evaluations are never kept, so Export may run
+// beside concurrent evaluations.
 func (c *EstimateCache) Export() []EstimateEntry {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []EstimateEntry
-	for n := c.b.tail; n != nil; n = n.prev {
-		cell := n.val
-		if !cell.done || cell.err != nil {
-			continue
-		}
-		out = append(out, EstimateEntry{Key: n.key, Seconds: cell.sec, PlanSig: cell.sig})
-	}
+	c.t.Walk(func(k estKey, v estVal) {
+		out = append(out, EstimateEntry{Profile: k.profile, Fingerprint: k.fp, Alloc: k.a, Seconds: v.sec, PlanSig: v.sig})
+	})
 	return out
 }
 
-// Prime inserts exported entries as already-resolved cells, warming a
-// fresh cache (a restored orchestrator's) without re-evaluating
+// Prime inserts exported entries as already-resolved estimates, warming
+// a fresh cache (a restored orchestrator's) without re-evaluating
 // anything. Keys already present are left untouched; priming counts
 // neither hits nor misses.
 func (c *EstimateCache) Prime(entries []EstimateEntry) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, en := range entries {
-		if _, ok := c.b.m[en.Key]; ok {
-			continue
-		}
-		cell := &estCell{sec: en.Seconds, sig: en.PlanSig, done: true}
-		cell.once.Do(func() {})
-		c.b.put(en.Key, cell)
+		c.t.Put(estKey{en.Profile, en.Fingerprint, en.Alloc}, estVal{en.Seconds, en.PlanSig})
 	}
 }

@@ -18,7 +18,7 @@ func TestEstimateCacheExportPrimeRoundTrip(t *testing.T) {
 	if nilCache.Export() != nil {
 		t.Fatal("nil cache must export nil")
 	}
-	nilCache.Prime([]EstimateEntry{{Key: "k"}}) // must not panic
+	nilCache.Prime([]EstimateEntry{{Profile: "p", Fingerprint: "k"}}) // must not panic
 
 	src := NewEstimates()
 	calls := 0
@@ -44,12 +44,12 @@ func TestEstimateCacheExportPrimeRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d entries, want %d", len(entries), len(allocs))
 	}
 	last := entries[len(entries)-1]
-	if mru := estKeyPrefix("prof", "t0@0") + core.AllocKey(allocs[0]); last.Key != mru {
-		t.Fatalf("export must be LRU-ordered: last key %q, want the touched %q", last.Key, mru)
+	if last.Profile != "prof" || last.Fingerprint != "t0@0" || last.Alloc != core.KeyOf(allocs[0]) {
+		t.Fatalf("export must be LRU-ordered: last entry %+v, want the touched %v", last, allocs[0])
 	}
 	for _, en := range entries {
 		if en.Seconds <= 0 || en.PlanSig != "sig" {
-			t.Fatalf("exported entry %q carries %v/%q", en.Key, en.Seconds, en.PlanSig)
+			t.Fatalf("exported entry %+v carries %v/%q", en, en.Seconds, en.PlanSig)
 		}
 	}
 
@@ -90,31 +90,55 @@ func TestEstimateCacheExportPrimeRoundTrip(t *testing.T) {
 		t.Fatalf("primed serves count as hits: %d", dst.Hits())
 	}
 	// Priming over an existing key leaves the resolved value alone.
-	dst.Prime([]EstimateEntry{{Key: entries[0].Key, Seconds: -1, PlanSig: "clobber"}})
-	if got, _, _ := warm.Estimate(allocs[1]); got != want[1] {
-		t.Fatalf("re-priming clobbered a resolved cell: %v", got)
+	// entries[0] is the least recently used estimate: allocs[1].
+	clobber := entries[0]
+	clobber.Seconds, clobber.PlanSig = -1, "clobber"
+	dst.Prime([]EstimateEntry{clobber})
+	if got, sig, _ := warm.Estimate(allocs[1]); got != want[1] || sig != "sig" {
+		t.Fatalf("re-priming clobbered a resolved cell: %v %q", got, sig)
 	}
 }
 
-// Export must skip cells that never resolved (still in flight) and
-// cells that resolved to an error — neither holds a value worth
-// carrying into a snapshot.
+// Export must skip estimates still being evaluated and evaluations that
+// failed — neither holds a value worth carrying into a snapshot — and
+// may run beside the in-flight evaluation.
 func TestEstimateCacheExportSkipsUnresolvedAndErrored(t *testing.T) {
 	c := NewEstimates()
+	started, release := make(chan struct{}), make(chan struct{})
 	est := c.Estimator("p", "fp", core.EstimatorFunc(func(a core.Allocation) (float64, string, error) {
+		switch a[0] {
+		case 0.25:
+			close(started)
+			<-release
+		case 0.75:
+			return 0, "", context.Canceled
+		}
 		return 1 / a[0], "s", nil
 	}))
 	if _, _, err := est.Estimate(core.Allocation{0.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	c.b.put("in-flight", &estCell{})
-	errored := &estCell{done: true, err: context.Canceled}
-	errored.once.Do(func() {})
-	c.b.put("errored", errored)
-	c.mu.Unlock()
+	if _, _, err := est.Estimate(core.Allocation{0.75, 0.25}); err == nil {
+		t.Fatal("the failing evaluation must return its error")
+	}
+	done := make(chan error)
+	go func() {
+		_, _, err := est.Estimate(core.Allocation{0.25, 0.75})
+		done <- err
+	}()
+	<-started
+	if c.Size() != 2 {
+		t.Fatalf("size %d, want the resolved and the in-flight estimate", c.Size())
+	}
 	entries := c.Export()
-	if len(entries) != 1 {
-		t.Fatalf("exported %d entries, want only the resolved one: %+v", len(entries), entries)
+	if len(entries) != 1 || entries[0].Alloc != core.KeyOf(core.Allocation{0.5, 0.5}) {
+		t.Fatalf("exported %+v, want only the resolved estimate", entries)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Export(); len(got) != 2 {
+		t.Fatalf("after the evaluation resolved, exported %d entries, want 2", len(got))
 	}
 }

@@ -26,12 +26,13 @@
 package score
 
 import (
-	"strconv"
+	"encoding/binary"
+	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 )
 
 // Fingerprinter is implemented by estimators that carry a stable identity
@@ -52,18 +53,11 @@ func FingerprintOf(est core.Estimator) string {
 	return ""
 }
 
-// entry is one cached advisor run, resolved exactly once: concurrent
-// requests for the same configuration block on the single in-flight run
-// instead of duplicating it.
-type entry struct {
-	once sync.Once
-	res  *core.Result
-	err  error
-}
-
 // Cache memoizes core.Recommend results across machine scorings. A nil
 // *Cache is valid and simply runs everything fresh, so callers can thread
-// an optional cache without branching. Safe for concurrent use.
+// an optional cache without branching. Safe for concurrent use:
+// concurrent requests for the same configuration block on the single
+// in-flight run instead of duplicating it.
 //
 // By default entries are never evicted and the cache grows with the
 // number of distinct configurations ever scored. Long-lived callers bound
@@ -74,8 +68,7 @@ type entry struct {
 // runs being deterministic — recomputes the identical result, so
 // eviction can cost re-runs but never change one.
 type Cache struct {
-	mu sync.Mutex
-	b  bounded[*entry]
+	t memo.Table[string, *core.Result]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -85,11 +78,7 @@ type Cache struct {
 }
 
 // NewCache creates an empty, unbounded machine-score cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	c.b.init()
-	return c
-}
+func NewCache() *Cache { return &Cache{} }
 
 // Hits counts lookups served from the cache.
 func (c *Cache) Hits() int64 {
@@ -162,9 +151,7 @@ func (c *Cache) Size() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.b.m)
+	return c.t.Len()
 }
 
 // Evictions counts entries dropped by a sweep.
@@ -172,9 +159,7 @@ func (c *Cache) Evictions() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.b.evictions
+	return c.t.Evictions()
 }
 
 // BeginGeneration starts a new generation: entries served or inserted
@@ -185,9 +170,7 @@ func (c *Cache) BeginGeneration() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.b.beginGeneration()
+	c.t.BeginGeneration()
 }
 
 // Sweep evicts every entry untouched for k or more generations and
@@ -197,20 +180,12 @@ func (c *Cache) Sweep(k int) int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	n := c.b.sweep(k)
-	c.mu.Unlock()
+	n := c.t.Sweep(k)
 	c.met.Sweeps.Inc()
 	if n > 0 {
 		c.met.Evictions.Add(uint64(n))
 	}
 	return n
-}
-
-// fmtFloat renders a float64 into its shortest round-trip form — distinct
-// values get distinct key fragments, equal values always the same one.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // keyOf folds everything a core.Recommend result depends on into a
@@ -222,30 +197,38 @@ func fmtFloat(v float64) string {
 // any constant. Parallelism and Ctx are deliberately excluded — results
 // are bit-identical across Parallelism by the enumerator's parity
 // guarantee, so runs at different worker counts share entries.
+//
+// The key is one buffer of u32-length-prefixed strings and fixed-width
+// little-endian fields, so it decodes uniquely and distinct inputs never
+// collide. Floats enter as their IEEE-754 bits, which separate exactly
+// the values their shortest decimal text would except NaNs, and nothing
+// keyed is NaN: QoS values are ≥ 1 or +Inf.
 func keyOf(profile string, fps []string, opts core.Options) string {
-	n := len(fps)
+	size := 4 + len(profile) + 4*8
+	for _, fp := range fps {
+		size += 4 + len(fp) + 2*8
+	}
 	var sb strings.Builder
-	sb.Grow(64 + 24*n)
-	sb.WriteString(strconv.Itoa(len(profile)))
-	sb.WriteByte('#')
-	sb.WriteString(profile)
-	sb.WriteByte('|')
-	sb.WriteString(strconv.Itoa(opts.Resources))
-	sb.WriteByte(',')
-	sb.WriteString(fmtFloat(opts.Delta))
-	sb.WriteByte(',')
-	sb.WriteString(fmtFloat(opts.MinShare))
-	sb.WriteByte(',')
-	sb.WriteString(strconv.Itoa(opts.MaxIters))
+	sb.Grow(size)
+	var w [8]byte
+	str := func(v string) {
+		binary.LittleEndian.PutUint32(w[:4], uint32(len(v)))
+		sb.Write(w[:4])
+		sb.WriteString(v)
+	}
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(w[:], v)
+		sb.Write(w[:])
+	}
+	str(profile)
+	u64(uint64(opts.Resources))
+	u64(math.Float64bits(opts.Delta))
+	u64(math.Float64bits(opts.MinShare))
+	u64(uint64(opts.MaxIters))
 	for i, fp := range fps {
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(len(fp)))
-		sb.WriteByte('#')
-		sb.WriteString(fp)
-		sb.WriteByte(',')
-		sb.WriteString(fmtFloat(opts.Gains[i]))
-		sb.WriteByte(',')
-		sb.WriteString(fmtFloat(opts.Limits[i]))
+		str(fp)
+		u64(math.Float64bits(opts.Gains[i]))
+		u64(math.Float64bits(opts.Limits[i]))
 	}
 	return sb.String()
 }
@@ -285,38 +268,21 @@ func (c *Cache) Recommend(profile string, fps []string, ests []core.Estimator, o
 		c.met.Runs.Inc()
 		return core.Recommend(ests, opts)
 	}
-	k := keyOf(profile, fps, norm)
-	c.mu.Lock()
-	e, ok := c.b.get(k)
-	if !ok {
-		e = &entry{}
-		c.b.put(k, e)
-	}
-	c.mu.Unlock()
-	if ok {
+	// Failed runs are never cached: deterministic errors simply re-run,
+	// and transient ones (context cancellation mid-search) must not stick.
+	res, hit, err := c.t.Get(keyOf(profile, fps, norm), func() (*core.Result, error) {
+		c.runs.Add(1)
+		c.met.Runs.Inc()
+		return core.Recommend(ests, opts)
+	})
+	if hit {
 		c.hits.Add(1)
 		c.met.Hits.Inc()
 	} else {
 		c.misses.Add(1)
 		c.met.Misses.Inc()
 	}
-	e.once.Do(func() {
-		c.runs.Add(1)
-		c.met.Runs.Inc()
-		e.res, e.err = core.Recommend(ests, opts)
-	})
-	if e.err != nil {
-		// Do not cache failures: deterministic errors simply re-run, and
-		// transient ones (context cancellation mid-search) must not stick.
-		// The identity check guards against a sweep-and-replacement
-		// racing in while this run was in flight.
-		c.mu.Lock()
-		if n := c.b.lookup(k); n != nil && n.val == e {
-			c.b.remove(n)
-		}
-		c.mu.Unlock()
-	}
-	return e.res, e.err
+	return res, err
 }
 
 // RecommendEsts is Recommend with fingerprints drawn from the estimators
