@@ -11,9 +11,11 @@ build:
 # -short skips the multi-hundred-period fleet soaks for a fast local
 # loop; they still run in full under `race` and `cover` below (and under
 # a plain `go test ./...`), so `make check` exercises them exactly once
-# per mode instead of three times.
+# per mode instead of three times. -count=2 runs every short test twice
+# in one process, so a test that passes only in a fresh process (one
+# that leans on a process-wide cache being cold) fails here.
 test:
-	$(GO) test -short ./...
+	$(GO) test -short -count=2 ./...
 
 race:
 	$(GO) test -race ./...
@@ -123,9 +125,8 @@ examples:
 # Package coverage with per-package floors on the long-lived-fleet
 # subsystems (memo table, score cache, placement, orchestrator): the
 # contract, soak and property harnesses are what holds these numbers
-# up, so a PR that guts them fails here. The full (non -short) suites run, soaks included. The
-# placement floor was raised to 90 when the cell partitioner and
-# two-level search landed — the cell edge-case tests hold it there.
+# up, so a change that guts them fails here. The full (non -short)
+# suites run, soaks included.
 cover:
 	@out=$$($(GO) test -cover ./internal/memo ./internal/score ./internal/placement ./internal/fleet ./internal/obs); status=$$?; \
 	echo "$$out"; \

@@ -2,7 +2,8 @@
 // evaluation (§7). Each benchmark runs its experiment once per iteration
 // and, under -v or with b.N == 1, logs the rendered series so the bench
 // run doubles as the reproduction report (the shapes, not the absolute
-// numbers, are the comparison targets — see EXPERIMENTS.md).
+// numbers, are the comparison targets; each figure's notes print the
+// paper's value beside the measured one).
 package vdesign
 
 import (

@@ -146,7 +146,6 @@ func (c *Cluster) Place(opts *Options) (*ClusterPlacement, error) {
 		popts.Core.Parallelism = opts.Parallelism
 		popts.Core.Ctx = opts.Context
 		popts.LocalSearch = opts.LocalSearch
-		popts.Cells = opts.Cells
 	}
 	tenants := make([]placement.Tenant, len(c.tenants))
 	for i, t := range c.tenants {

@@ -1,6 +1,7 @@
 package vdesign
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/calibrate"
@@ -245,6 +246,107 @@ func TestClusterPlaceLocalSearch(t *testing.T) {
 		c2, m2 := par.Shares(h)
 		if c1 != c2 || m1 != m2 {
 			t.Fatalf("tenant %s shares diverge across parallelism", h.Name())
+		}
+	}
+}
+
+// newGoldenCluster builds the cluster TestClusterPlaceGolden pins: three
+// default servers and seven tenants mixing PostgreSQL and DB2 TPC-H
+// queries with one DB2 TPC-C mix, one tenant under a degradation limit
+// and one with a gain factor.
+func newGoldenCluster(t *testing.T) (*Cluster, []*ClusterTenant) {
+	t.Helper()
+	c, err := NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 3; s++ {
+		c.AddServer()
+	}
+	schema := tpch.Schema(1)
+	var handles []*ClusterTenant
+	for _, spec := range []struct {
+		name    string
+		flavor  Flavor
+		queries []int
+	}{
+		{"pg-scan", PostgreSQL, []int{1, 6}},
+		{"pg-join", PostgreSQL, []int{3, 12}},
+		{"db2-big", DB2, []int{18, 21}},
+		{"pg-promo", PostgreSQL, []int{14, 19}},
+		{"db2-mix", DB2, []int{4, 9}},
+		{"pg-sub", PostgreSQL, []int{17}},
+	} {
+		var qs []string
+		for _, q := range spec.queries {
+			qs = append(qs, tpch.QueryText(q))
+		}
+		h, err := c.AddTenant(spec.name, spec.flavor, schema, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	oltp, err := c.AddTenantWorkload("db2-oltp", DB2, tpcc.Schema(5), tpcc.Mix(5, 10, 1).Scale(0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles = append(handles, oltp)
+	c.SetQoS(handles[1], QoS{DegradationLimit: 2.5})
+	c.SetQoS(handles[4], QoS{GainFactor: 3})
+	return c, handles
+}
+
+// Cluster's results, pinned: the server, the IEEE-754 bits of the
+// shares, estimate and degradation of every tenant, and the objective
+// before and after local search. The values were recorded from the
+// placement enumerator before its cell search was removed, and must not
+// move at any Parallelism. (Local search applies one swap here, of
+// pg-scan and db2-big, whose gain is lost in rounding: TotalCost equals
+// GreedyCost bit for bit.)
+func TestClusterPlaceGolden(t *testing.T) {
+	want := []struct {
+		name               string
+		server             int
+		cpu, mem, est, deg uint64
+	}{
+		{"pg-scan", 1, 0x3fe0000000000000, 0x3fe0000000000000, 0x4046770aca43a24a, 0x400000000108f0ad},
+		{"pg-join", 1, 0x3fe0000000000000, 0x3fe0000000000000, 0x40446416fac2df66, 0x3ffe4c454696af95},
+		{"db2-big", 2, 0x3fe0000000000000, 0x3fe0000000000000, 0x404cb3750a916384, 0x4000000000000004},
+		{"pg-promo", 0, 0x3fc1111111111110, 0x3fd5555555555555, 0x402d822965bd2d63, 0x401dfffffd3ae97f},
+		{"db2-mix", 0, 0x3fe7777777777777, 0x3fd5555555555555, 0x40311e2835d765e8, 0x3ff5d1745d1745d4},
+		{"pg-sub", 0, 0x3fc1111111111110, 0x3fd5555555555555, 0x4000f5b51c4125ad, 0x401dfffffde7b231},
+		{"db2-oltp", 2, 0x3fe0000000000000, 0x3fe0000000000000, 0x404954e17fa9df41, 0x4000000000000004},
+	}
+	const (
+		wantTotal  = 0x4070601349670760
+		wantGreedy = 0x4070601349670760
+		wantMoves  = 1
+	)
+	for _, workers := range []int{1, 4} {
+		c, handles := newGoldenCluster(t)
+		rec, err := c.Place(&Options{Delta: 0.1, LocalSearch: 2, Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range handles {
+			w := want[i]
+			cpu, mem := rec.Shares(h)
+			got := [...]uint64{math.Float64bits(cpu), math.Float64bits(mem),
+				math.Float64bits(rec.EstimatedSeconds(h)), math.Float64bits(rec.Degradation(h))}
+			if h.Name() != w.name || rec.ServerOf(h) != w.server || got != [...]uint64{w.cpu, w.mem, w.est, w.deg} {
+				t.Errorf("P%d tenant %s: server %d, bits %#x; want %s on %d, bits %#x",
+					workers, h.Name(), rec.ServerOf(h), got, w.name, w.server, [...]uint64{w.cpu, w.mem, w.est, w.deg})
+			}
+		}
+		if got := math.Float64bits(rec.TotalCost()); got != wantTotal {
+			t.Errorf("P%d TotalCost bits %#x, want %#x", workers, got, uint64(wantTotal))
+		}
+		if got := math.Float64bits(rec.GreedyCost()); got != wantGreedy {
+			t.Errorf("P%d GreedyCost bits %#x, want %#x", workers, got, uint64(wantGreedy))
+		}
+		if got := rec.LocalSearchMoves(); got != wantMoves {
+			t.Errorf("P%d LocalSearchMoves %d, want %d", workers, got, wantMoves)
 		}
 	}
 }

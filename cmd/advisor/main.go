@@ -73,7 +73,7 @@ func main() {
 	cacheSweep := flag.Int("cache-sweep", 0,
 		"fleet mode: drop cache entries untouched for this many periods (0 = never)")
 	cellsFlag := flag.String("cells", "0",
-		"partition multi-machine placement into cells of at most this many servers (0 disables; \"auto\" turns on fleet-mode latency-driven cell auto-tuning)")
+		"fleet mode: partition the fleet into cells of at most this many servers (0 disables; \"auto\" turns on latency-driven cell auto-tuning)")
 	rebalanceBudget := flag.Int("rebalance-budget", 0,
 		"fleet mode: per-period budget of ranked cross-cell rebalance moves, hottest cell pairs first (0 disables)")
 	cellTarget := flag.Duration("cell-latency-target", 0,
@@ -121,7 +121,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := &vdesign.Options{Delta: *delta, Parallelism: *parallelism, LocalSearch: *localSearch, Cells: cells}
+	opts := &vdesign.Options{Delta: *delta, Parallelism: *parallelism, LocalSearch: *localSearch}
 
 	if *periods > 1 {
 		if *refine {
@@ -165,8 +165,8 @@ func main() {
 	if *rebalanceBudget != 0 {
 		fatal(fmt.Errorf("-rebalance-budget requires fleet mode (-periods > 1)"))
 	}
-	if autoTune || *cellTarget != 0 {
-		fatal(fmt.Errorf("-cells=auto/-cell-latency-target require fleet mode (-periods > 1)"))
+	if cells != 0 || autoTune || *cellTarget != 0 {
+		fatal(fmt.Errorf("-cells/-cell-latency-target require fleet mode (-periods > 1)"))
 	}
 	if len(profiles) > 0 {
 		fatal(fmt.Errorf("-profile requires fleet mode (-periods > 1)"))
@@ -186,9 +186,6 @@ func main() {
 	}
 	if *localSearch > 0 {
 		fatal(fmt.Errorf("-local-search applies to multi-machine runs (-servers > 1 or -periods > 1)"))
-	}
-	if cells > 0 {
-		fatal(fmt.Errorf("-cells applies to multi-machine runs (-servers > 1 or -periods > 1)"))
 	}
 	runSingle(specs, qosOf, *refine, opts)
 }

@@ -1,6 +1,7 @@
 // Command experiments runs the paper-reproduction experiments and prints
 // their series. With no arguments it runs everything; `-list` shows the
-// experiment IDs (see DESIGN.md for the figure/table mapping).
+// experiment IDs (the internal/experiments package doc maps them to the
+// paper's figures and sections).
 package main
 
 import (

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dbms"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/vmsim"
 	"repro/internal/workload"
 )
@@ -177,9 +176,6 @@ type Fleet struct {
 	seq      int // tenant registration counter (see FleetTenant.key)
 	orch     *fleet.Orchestrator
 	reports  []*FleetPeriodReport // the latest reportWindow periods
-	// cellIdx caches the pre-period cell partition for CellOf;
-	// invalidated (by length mismatch) whenever a server is added.
-	cellIdx []int
 }
 
 // FleetTenant identifies one tenant registered with a fleet.
@@ -563,14 +559,14 @@ func (f *Fleet) Cells() int {
 	if len(f.keys) == 0 {
 		return 0
 	}
-	return placement.NumCells(len(f.keys), f.opts.Cells)
+	return fleet.NumCells(len(f.keys), f.opts.Cells)
 }
 
 // CellOf returns the placement cell owning a server under the current
 // topology (-1 for an out-of-range server index). Tenants placed in a
 // cell stay within it across periods. Once periods have begun the
 // orchestrator's live partition is authoritative; before that the
-// partition is computed once and cached until the server list changes.
+// answer is the partition the first period will start from.
 func (f *Fleet) CellOf(server int) int {
 	if f.orch != nil {
 		return f.orch.CellOf(server)
@@ -578,10 +574,7 @@ func (f *Fleet) CellOf(server int) int {
 	if server < 0 || server >= len(f.keys) {
 		return -1
 	}
-	if len(f.cellIdx) != len(f.keys) {
-		f.cellIdx = placement.CellIndex(f.keys, f.opts.Cells)
-	}
-	return f.cellIdx[server]
+	return fleet.CellIndex(f.keys, f.opts.Cells)[server]
 }
 
 // FleetPeriodReport is the outcome of one fleet monitoring period.

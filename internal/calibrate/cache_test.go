@@ -7,6 +7,19 @@ import (
 	"repro/internal/vmsim"
 )
 
+// freshMachines counts the machines freshMachine has built.
+var freshMachines int
+
+// freshMachine returns a default machine whose I/O contention factor no
+// earlier call in this process has used: a profile nothing has
+// calibrated yet. The calibration cache lives as long as the process,
+// and `go test -count=N` runs every test N times in one process, so a
+// test that counts first-use calibrations must not reuse a profile.
+func freshMachine() *vmsim.Machine {
+	freshMachines++
+	return vmsim.New(vmsim.DefaultHardware(), 10+float64(freshMachines)/4)
+}
+
 func TestSharedCalibrationRunsOncePerProfile(t *testing.T) {
 	m := vmsim.Default()
 	pg1, err := PGFor(m, Options{})
@@ -43,7 +56,7 @@ func TestSharedCalibrationDistinctProfiles(t *testing.T) {
 	before := Runs()
 	// A different I/O contention factor is a different profile: it changes
 	// the renormalization microbenchmarks, so it must calibrate afresh.
-	noisy := vmsim.New(vmsim.DefaultHardware(), 4.0)
+	noisy := freshMachine()
 	pgNoisy, err := PGFor(noisy, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +72,11 @@ func TestSharedCalibrationDistinctProfiles(t *testing.T) {
 		t.Fatal("distinct profiles must not share a calibration result")
 	}
 	if pgNoisy.RenormSeconds == pgBase.RenormSeconds {
-		t.Fatal("doubled I/O contention must change the renormalization factor")
+		t.Fatal("a higher I/O contention must change the renormalization factor")
 	}
 	// Distinct calibration options are a distinct profile too.
 	before = Runs()
-	if _, err := PGFor(base, Options{MemShare: 0.25}); err != nil {
+	if _, err := PGFor(noisy, Options{MemShare: 0.25}); err != nil {
 		t.Fatal(err)
 	}
 	if got := Runs() - before; got != 1 {
@@ -74,7 +87,7 @@ func TestSharedCalibrationDistinctProfiles(t *testing.T) {
 func TestSharedCalibrationConcurrentFirstUse(t *testing.T) {
 	// A profile nobody has calibrated yet, requested by many goroutines at
 	// once: exactly one calibration may run.
-	m := vmsim.New(vmsim.DefaultHardware(), 7.5)
+	m := freshMachine()
 	before := Runs()
 	var wg sync.WaitGroup
 	results := make([]*PGResult, 16)

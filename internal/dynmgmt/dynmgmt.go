@@ -21,6 +21,15 @@ import (
 	"repro/internal/refine"
 )
 
+const (
+	// tau is the major-change threshold on the relative per-query
+	// estimate change (§6.1).
+	tau = 0.10
+	// errThreshold bounds the relative modeling error E_ip below which
+	// unconverged refinement may continue (§6.2).
+	errThreshold = 0.05
+)
+
 // ChangeClass classifies a workload's change in one monitoring period.
 type ChangeClass int
 
@@ -97,11 +106,6 @@ type PeriodReport struct {
 
 // Manager runs dynamic configuration management over N tenants.
 type Manager struct {
-	// Tau is the major-change threshold on the relative per-query
-	// estimate change (default 0.10, as in §6.1).
-	Tau float64
-	// ErrThreshold is the E_ip guard (default 0.05, §6.2).
-	ErrThreshold float64
 	// Opts configures the advisor's enumerator. Opts.Parallelism and
 	// Opts.Ctx thread straight through to every per-period re-run of the
 	// advisor, so a manager driving many tenants can fan its what-if
@@ -152,7 +156,7 @@ type tenantState struct {
 
 // NewManager creates a manager for n tenants.
 func NewManager(n int, opts core.Options) *Manager {
-	m := &Manager{Tau: 0.10, ErrThreshold: 0.05, Opts: opts}
+	m := &Manager{Opts: opts}
 	for i := 0; i < n; i++ {
 		m.tenants = append(m.tenants, &tenantState{})
 	}
@@ -432,7 +436,7 @@ func (m *Manager) periodLocked(inputs []PeriodInput, rec reconciled, opts core.O
 		default:
 			rel := math.Abs(in.AvgEstPerQuery-ts.prevAvg) / ts.prevAvg
 			switch {
-			case rel > m.Tau && !m.ForceContinuous:
+			case rel > tau && !m.ForceContinuous:
 				tr.Change = ChangeMajor
 			case rel > 1e-9:
 				tr.Change = ChangeMinor
@@ -512,7 +516,7 @@ func (m *Manager) periodLocked(inputs []PeriodInput, rec reconciled, opts core.O
 				// workload whose model extrapolated badly (large, growing
 				// E_ip) must also fall back to the optimizer instead of
 				// oscillating on Act/Est corrections.
-				small := ts.prevErr < m.ErrThreshold && tr.Eip < m.ErrThreshold
+				small := ts.prevErr < errThreshold && tr.Eip < errThreshold
 				decreasing := tr.Eip < ts.prevErr
 				if !small && !decreasing && !m.ForceContinuous {
 					// Conservatively treat as major: discard; rebuild next

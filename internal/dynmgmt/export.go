@@ -65,8 +65,8 @@ func (m *Manager) Export() *StateExport {
 
 // Import replaces the manager's accumulated state with an export,
 // validating it first: a failed import leaves the manager untouched.
-// The manager's tunables (Tau, ErrThreshold, Opts, hooks) are not part
-// of the export and keep their current values.
+// The manager's options and hooks (Opts, ForceContinuous, Recommend,
+// Metrics) are not part of the export and keep their current values.
 func (m *Manager) Import(s *StateExport) error {
 	if s == nil {
 		return fmt.Errorf("dynmgmt: import: nil state")

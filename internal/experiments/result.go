@@ -1,9 +1,22 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§7). Each runner builds its scenario from the
 // simulated substrate, executes the advisor pipeline, and returns a
-// Result whose series mirror the axes of the original figure; DESIGN.md's
-// experiment index maps IDs to paper artifacts, and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// Result whose series mirror the axes of the original figure.
+//
+// Runners are registered by ID; `go run ./cmd/experiments -list` prints
+// every ID, and the ID says what the runner reproduces:
+//
+//   - figNN is the paper's Figure NN (fig02 … fig36);
+//   - sec7.2 is §7.2, the cost of calibration and search;
+//   - ablation-* (the advisor's cost cache, greedy step and calibration
+//     grid) and fleet-* (the fleet's caches, migration penalty and
+//     scale) are this repository's own experiments, with no paper
+//     counterpart.
+//
+// Where the paper states a number or a shape, the runner prints the
+// comparison as a note below its table (Result.Note), the paper's value
+// beside the measured one — fig02, for example, prints "DB2
+// improvement: 12.6% (paper: ~55%)".
 package experiments
 
 import (

@@ -25,7 +25,7 @@ func init() {
 // a single-tenant drift period under both modes (the delta-locality
 // headline: one dirty cell vs every cell), and a 2% churn drift period.
 // At the smaller sizes it also times the non-cellular (Cells: 0,
-// full recompute) fleet — the quadratic baseline the two-level search is
+// full recompute) fleet — the quadratic baseline the cell partition is
 // measured against; at 1000 machines that baseline is intractable by
 // construction, which is the point.
 //

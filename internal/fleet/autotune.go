@@ -42,8 +42,6 @@ package fleet
 import (
 	"math"
 	"sort"
-
-	"repro/internal/placement"
 )
 
 const (
@@ -277,7 +275,7 @@ func (o *Orchestrator) newCellSlot() int {
 // stored outcomes answer for a membership that no longer exists).
 // Returns the new half's cell index.
 func (o *Orchestrator) splitCell(c int) int {
-	keep, move := placement.SplitCellMembers(o.cellProfiles[c], o.cells[c])
+	keep, move := splitCellMembers(o.cellProfiles[c], o.cells[c])
 	if len(move) == 0 {
 		return c
 	}

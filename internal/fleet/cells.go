@@ -3,11 +3,12 @@ package fleet
 // Cells: the orchestrator's scale-out layer. A monitoring period over a
 // flat fleet prices every tenant against every machine; past a few
 // hundred servers that is quadratic work even when nothing changed. The
-// fleet is therefore partitioned into placement cells (placement's
-// profile-grouped round-robin partition, at most Options.Cells machines
-// each) and the period becomes per-cell work: each tenant is routed to a
-// cell — survivors to their incumbent server's cell, arrivals to the
-// cell with the most free slots — and every cell then runs the full
+// fleet is therefore partitioned into placement cells (the
+// profile-grouped round-robin partition of partition.go, at most
+// Options.Cells machines each) and the period becomes per-cell work:
+// each tenant is routed to a cell — survivors to their incumbent
+// server's cell, arrivals to the cell with the most free slots — and
+// every cell then runs the full
 // existing period machinery (candidate placement, migration hysteresis,
 // per-machine managers) over only its own machines, tenants, and cache
 // shards. Cells are disjoint, so they run in parallel over the worker
@@ -30,8 +31,7 @@ import (
 
 // cellOpts is the placement-option template for one cell: the cell's
 // servers (as local indexes 0..len(cell)-1), its cache shards, and the
-// orchestrator-wide search options. The cell is already the partition
-// unit, so placement.Options.Cells stays 0 here.
+// orchestrator-wide search options.
 func (o *Orchestrator) cellOpts(c int) placement.Options {
 	return placement.Options{
 		Profiles:    o.cellProfiles[c],

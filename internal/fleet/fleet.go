@@ -165,8 +165,8 @@ type Options struct {
 	CacheSweep int
 	// Cells bounds a placement cell to at most this many machines
 	// (0 disables partitioning — the whole fleet is one cell, the flat
-	// orchestrator). On larger fleets the servers are partitioned by
-	// placement.PartitionCells, each cell gets its own score/estimate
+	// orchestrator). On larger fleets the servers are partitioned as
+	// partition.go describes, each cell gets its own score/estimate
 	// cache shard, and every period routes tenants to cells (survivors
 	// stay with their incumbent's cell; arrivals go to the cell with the
 	// most headroom) and runs the cells' placement + manager work
@@ -472,11 +472,11 @@ func New(opts Options) (*Orchestrator, error) {
 	if err := checkOptions(opts); err != nil {
 		return nil, err
 	}
-	return newOrchestrator(opts, placement.PartitionCells(opts.Profiles, opts.Cells)), nil
+	return newOrchestrator(opts, partitionCells(opts.Profiles, opts.Cells)), nil
 }
 
 // newOrchestrator builds an orchestrator over a given cell partition —
-// fresh from placement.PartitionCells in New, the snapshot's TOPO
+// fresh from partitionCells in New, the snapshot's TOPO
 // section in Restore — with a fresh manager per server, empty cache
 // shards per cell, and no assignment. cells lists each cell's global
 // server indexes; a server listed in no cell is a removed one.

@@ -12,8 +12,8 @@ package fleet
 //
 //	u32 section id | u32 payload length | payload | u32 CRC-32 (IEEE)
 //
-// Sections appear in one fixed order (META, TOPO, ASSIGN, LAT, MGRS,
-// EST, USER, END); all integers are little-endian, floats are IEEE-754
+// Sections appear in one fixed order (META, TOPO, ASSIGN, MGRS, EST,
+// USER, END); all integers are little-endian, floats are IEEE-754
 // bits, strings and byte blobs are u32-length-prefixed. The END section
 // (id 0, empty payload) closes the stream, so boundary truncation — the
 // classic partial-write failure — is detected even when every earlier
@@ -23,18 +23,27 @@ package fleet
 // payload, and validation before anything is trusted.
 //
 // What is serialized — everything a resumed period's RESULT depends on:
-// the period counter (META), the cell partition (TOPO), the tenant
-// assignment (ASSIGN), the cell latency windows/EWMAs/stale bits that
-// steer the auto-tuner (LAT), and every machine manager's
-// classification + refined-model state (MGRS); USER carries the
-// caller's blob. What is deliberately NOT serialized is state a
-// restored fleet rebuilds before reading it: stored cell outcomes and
-// the delta bookkeeping around them (per-cell input sequences, settled
-// bits, drift signatures) — a restored cell has no stored outcome, so
-// every occupied cell recomputes in the first resumed period,
-// bit-identically per delta.go's replay ≡ recompute invariant, and that
-// period rewrites the bookkeeping — plus machine-score cache contents
-// (deterministic re-runs).
+// the period counter (META), the cell partition (TOPO: each server's
+// profile, then each cell's member list; a server's cell and local
+// index follow from the lists), the tenant assignment (ASSIGN), and
+// every machine manager's classification + refined-model state (MGRS);
+// USER carries the caller's blob. What is deliberately NOT serialized is
+// state a restored fleet rebuilds before reading it: stored cell
+// outcomes and the delta bookkeeping around them (per-cell input
+// sequences, settled bits, drift signatures) — a restored cell has no
+// stored outcome, so every occupied cell recomputes in the first resumed
+// period, bit-identically per delta.go's replay ≡ recompute invariant,
+// and that period rewrites the bookkeeping — plus machine-score cache
+// contents (deterministic re-runs).
+//
+// Nor is the cells' latency feedback (autotune.go): a restored cell's
+// window starts empty, like a newly founded cell's. Latency steers three
+// things: the dispatch order of dirty cells, which the fixed-order merge
+// hides; CellLatencyP95; and AutoTuneCells' partition edits. Those edits
+// follow measured wall-clock time, so not even two uninterrupted runs
+// make them alike, and a resumed fleet with AutoTuneCells on may split
+// or merge cells at other periods than it would have without the
+// restart.
 //
 // EST is the one section that carries work, not results: point
 // estimates, deterministic in their key, primed back into the estimate
@@ -87,7 +96,7 @@ import (
 // other version is rejected.
 const (
 	snapMagic   = "VDFLEET\x00"
-	snapVersion = 3
+	snapVersion = 4
 )
 
 // Section IDs, in stream order.
@@ -96,10 +105,9 @@ const (
 	sectMeta   = 1
 	sectTopo   = 2
 	sectAssign = 3
-	sectLat    = 4
-	sectMgrs   = 5
-	sectEst    = 6
-	sectUser   = 7
+	sectMgrs   = 4
+	sectEst    = 5
+	sectUser   = 6
 )
 
 var sectName = map[uint32]string{
@@ -107,7 +115,6 @@ var sectName = map[uint32]string{
 	sectMeta:   "META",
 	sectTopo:   "TOPO",
 	sectAssign: "ASSIGN",
-	sectLat:    "LAT",
 	sectMgrs:   "MGRS",
 	sectEst:    "EST",
 	sectUser:   "USER",
@@ -337,7 +344,6 @@ func (o *Orchestrator) Snapshot(w io.Writer, user []byte) error {
 	writeSection(&out, sectMeta, o.encodeMeta())
 	writeSection(&out, sectTopo, o.encodeTopo())
 	writeSection(&out, sectAssign, o.encodeAssign())
-	writeSection(&out, sectLat, o.encodeLat())
 	writeSection(&out, sectMgrs, o.encodeManagers())
 	writeSection(&out, sectEst, o.encodeEstimates())
 	writeSection(&out, sectUser, user)
@@ -358,10 +364,8 @@ func (o *Orchestrator) encodeMeta() []byte {
 func (o *Orchestrator) encodeTopo() []byte {
 	var e SnapEncoder
 	e.I64(int64(len(o.opts.Profiles)))
-	for s, p := range o.opts.Profiles {
+	for _, p := range o.opts.Profiles {
 		e.Str(p)
-		e.I64(int64(o.cellOf[s]))
-		e.I64(int64(o.localIdx[s]))
 	}
 	e.I64(int64(len(o.cells)))
 	for _, servers := range o.cells {
@@ -384,23 +388,6 @@ func (o *Orchestrator) encodeAssign() []byte {
 	for _, id := range ids {
 		e.Str(id)
 		e.I64(int64(o.assignment[id]))
-	}
-	return e.buf
-}
-
-func (o *Orchestrator) encodeLat() []byte {
-	var e SnapEncoder
-	e.I64(int64(len(o.lat)))
-	for c := range o.lat {
-		l := &o.lat[c]
-		e.F64(l.ewma)
-		e.I64(int64(l.n))
-		e.I64(int64(l.next))
-		e.I64(int64(l.skip))
-		e.Bool(l.stale)
-		for _, v := range l.win {
-			e.F64(v)
-		}
 	}
 	return e.buf
 }
@@ -514,10 +501,9 @@ type snapState struct {
 	disableScoreCache bool
 	period            int
 	profiles          []string
-	cellOf            []int
+	listed            []bool // server is a member of some cell
 	cells             [][]int
 	assignment        map[string]int
-	lat               []cellLatency
 	mgrs              []*dynmgmt.StateExport
 	estPresent        bool
 	est               [][]score.EstimateEntry
@@ -571,7 +557,7 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 
 	// Build through New's constructor over the snapshot's partition —
 	// never a recomputed one: AddServer, RemoveServer and auto-tune edits
-	// leave partitions placement.PartitionCells would not produce — then
+	// leave partitions partitionCells would not produce — then
 	// install the staged state. Nothing below can fail except manager
 	// import, which happens before the orchestrator is returned — the
 	// partially-built value is simply dropped on error, never observable.
@@ -580,7 +566,6 @@ func Restore(r io.Reader, opts Options, ropts *RestoreOptions) (*Orchestrator, [
 	o := newOrchestrator(opts, st.cells)
 	o.assignment = st.assignment
 	o.period = st.period
-	o.lat = st.lat
 	for s, m := range o.machines {
 		if err := m.mgr.Import(st.mgrs[s]); err != nil {
 			return nil, nil, fmt.Errorf("fleet: snapshot: server %d manager: %w", s, err)
@@ -618,7 +603,6 @@ func parseSnapshot(raw []byte) (*snapState, error) {
 		{sectMeta, st.parseMeta},
 		{sectTopo, st.parseTopo},
 		{sectAssign, st.parseAssign},
-		{sectLat, st.parseLat},
 		{sectMgrs, st.parseMgrs},
 		{sectEst, st.parseEst},
 		{sectUser, st.parseUser},
@@ -656,7 +640,7 @@ func (st *snapState) parseMeta(d *SnapDecoder) error {
 }
 
 func (st *snapState) parseTopo(d *SnapDecoder) error {
-	ns := d.Count(1)
+	ns := d.Count(4)
 	if d.err != nil {
 		return nil
 	}
@@ -665,12 +649,8 @@ func (st *snapState) parseTopo(d *SnapDecoder) error {
 		return nil
 	}
 	st.profiles = make([]string, ns)
-	st.cellOf = make([]int, ns)
-	localIdx := make([]int, ns)
 	for s := 0; s < ns; s++ {
 		st.profiles[s] = d.Str()
-		st.cellOf[s] = int(d.I64())
-		localIdx[s] = int(d.I64())
 	}
 	nc := d.Count(8)
 	if d.err != nil {
@@ -681,7 +661,7 @@ func (st *snapState) parseTopo(d *SnapDecoder) error {
 		return nil
 	}
 	st.cells = make([][]int, nc)
-	seen := make([]bool, ns)
+	st.listed = make([]bool, ns)
 	for c := 0; c < nc; c++ {
 		n := d.Count(8)
 		if d.err != nil {
@@ -697,25 +677,14 @@ func (st *snapState) parseTopo(d *SnapDecoder) error {
 				d.Fail("cell %d member %d out of range (fleet of %d)", c, s, ns)
 				return nil
 			}
-			if seen[s] {
+			if st.listed[s] {
 				d.Fail("server %d appears in two cells", s)
 				return nil
 			}
-			seen[s] = true
-			if st.cellOf[s] != c || localIdx[s] != l {
-				d.Fail("server %d index mismatch: listed at cell %d slot %d, indexed at cell %d slot %d",
-					s, c, l, st.cellOf[s], localIdx[s])
-				return nil
-			}
+			st.listed[s] = true
 			members[l] = s
 		}
 		st.cells[c] = members
-	}
-	for s := 0; s < ns; s++ {
-		if !seen[s] && st.cellOf[s] != -1 {
-			d.Fail("server %d indexed to cell %d but listed in none", s, st.cellOf[s])
-			return nil
-		}
 	}
 	return nil
 }
@@ -740,42 +709,11 @@ func (st *snapState) parseAssign(d *SnapDecoder) error {
 			d.Fail("tenant %q assigned to server %d (fleet of %d)", id, s, len(st.profiles))
 			return nil
 		}
-		if st.cellOf[s] < 0 {
+		if !st.listed[s] {
 			d.Fail("tenant %q assigned to removed server %d", id, s)
 			return nil
 		}
 		st.assignment[id] = s
-	}
-	return nil
-}
-
-func (st *snapState) parseLat(d *SnapDecoder) error {
-	nc := d.Count(8*(4+autotuneWindow) + 1)
-	if d.err != nil {
-		return nil
-	}
-	if nc != len(st.cells) {
-		d.Fail("latency state for %d cells, topology has %d", nc, len(st.cells))
-		return nil
-	}
-	st.lat = make([]cellLatency, nc)
-	for c := 0; c < nc; c++ {
-		l := &st.lat[c]
-		l.ewma = d.F64()
-		l.n = int(d.I64())
-		l.next = int(d.I64())
-		l.skip = int(d.I64())
-		l.stale = d.Bool()
-		for j := range l.win {
-			l.win[j] = d.F64()
-		}
-		if d.err != nil {
-			return nil
-		}
-		if l.n < 0 || l.n > autotuneWindow || l.next < 0 || l.next >= autotuneWindow || l.skip < 0 {
-			d.Fail("cell %d latency window out of range (n=%d next=%d skip=%d)", c, l.n, l.next, l.skip)
-			return nil
-		}
 	}
 	return nil
 }

@@ -326,9 +326,9 @@ func snapCorruptions(t testing.TB, raw []byte) []snapCorruption {
 	add("wrong version", mutate(func(c []byte) {
 		binary.LittleEndian.PutUint32(c[8:], snapVersion+41)
 	}), "version")
-	add("version 2 stream", mutate(func(c []byte) {
-		binary.LittleEndian.PutUint32(c[8:], 2)
-	}), "unsupported format version 2")
+	add("version 3 stream", mutate(func(c []byte) {
+		binary.LittleEndian.PutUint32(c[8:], 3)
+	}), "unsupported format version 3")
 	add("empty stream", nil, "magic")
 
 	// Truncations: inside the header, inside a mid-stream section, at
@@ -366,10 +366,36 @@ func snapCorruptions(t testing.TB, raw []byte) []snapCorruption {
 		binary.LittleEndian.PutUint64(c[p:], 1<<30)
 	}), "assigned to server")
 
+	// TOPO: the server count and profiles, then the cell count and per
+	// cell its member count and members. Point the first cell's first
+	// member past the fleet, or at the second cell's first member.
+	topo := frameOf(sectTopo)
+	p := topo.payloadStart
+	servers := int(binary.LittleEndian.Uint64(raw[p:]))
+	p += 8
+	for s := 0; s < servers; s++ {
+		p += 4 + int(binary.LittleEndian.Uint32(raw[p:]))
+	}
+	if n := binary.LittleEndian.Uint64(raw[p:]); n < 2 {
+		t.Fatalf("fixture snapshot has %d cells, want at least 2", n)
+	}
+	n0 := int(binary.LittleEndian.Uint64(raw[p+8:]))
+	first := p + 16 // past the cell count and the first cell's member count
+	second := first + 8*n0 + 8
+	if n0 == 0 || binary.LittleEndian.Uint64(raw[second-8:]) == 0 {
+		t.Fatal("fixture snapshot's first two cells are not both occupied")
+	}
+	add("TOPO member past the fleet", behindChecksum(topo, func(c []byte) {
+		binary.LittleEndian.PutUint64(c[first:], uint64(servers))
+	}), "TOPO")
+	add("TOPO server in two cells", behindChecksum(topo, func(c []byte) {
+		copy(c[first:first+8], c[second:second+8])
+	}), "TOPO")
+
 	// EST: presence byte and cell count, then per cell a string table
 	// and its rows. Damage the first row of the first cell that has one.
 	est := frameOf(sectEst)
-	p := est.payloadStart + 1
+	p = est.payloadStart + 1
 	cells := int(binary.LittleEndian.Uint64(raw[p:]))
 	p += 8
 	rowsAt, nstr := -1, 0

@@ -69,11 +69,8 @@ func violators(res *core.Result, tenants []Tenant, members []int) []int {
 
 // localSearch refines a finished greedy packing in place: assignment,
 // machines, and totals are updated to the improved placement. Returns the
-// number of changes applied. A non-nil cellOf (Options.Cells on a
-// multi-cell fleet) confines every move and swap to machines of one
-// cell, bounding each round's candidate set by the cell size; cells are
-// disjoint, so confinement never invalidates an earlier round's scores.
-func (sc *scorer) localSearch(assignment []int, machines []Machine, totals []float64, capacity int, cellOf []int) (int, error) {
+// number of changes applied.
+func (sc *scorer) localSearch(assignment []int, machines []Machine, totals []float64, capacity int) (int, error) {
 	servers := len(machines)
 	np := len(sc.sh.distinct)
 	n := len(assignment)
@@ -126,9 +123,6 @@ func (sc *scorer) localSearch(assignment []int, machines []Machine, totals []flo
 				if dst == src || len(machines[dst].Tenants) >= capacity {
 					continue
 				}
-				if cellOf != nil && cellOf[dst] != cellOf[src] {
-					continue
-				}
 				if len(machines[dst].Tenants) == 0 {
 					d := sc.sh.profIdx[dst]
 					// Empty machines of one profile are interchangeable:
@@ -156,9 +150,6 @@ func (sc *scorer) localSearch(assignment []int, machines []Machine, totals []flo
 					continue
 				}
 				dst := assignment[u]
-				if cellOf != nil && cellOf[dst] != cellOf[src] {
-					continue
-				}
 				// Swapping the sole tenants of two same-profile machines is
 				// a relabeling, not a change.
 				if sc.sh.profIdx[src] == sc.sh.profIdx[dst] &&

@@ -124,14 +124,6 @@ type Options struct {
 	// early when no strict improvement remains. 0 disables the phase.
 	// Pinned tenants never move.
 	LocalSearch int
-	// Cells bounds a placement cell to at most this many machines (0
-	// disables partitioning). On fleets larger than one cell the greedy
-	// loop runs a two-level search — per-cell headroom summaries pick at
-	// most one candidate cell per profile class, and only those cells'
-	// machines are scored — and local search confines moves and swaps to
-	// a single cell. A fleet of at most Cells machines forms one cell and
-	// places exactly like the flat enumerator, bit for bit. See cells.go.
-	Cells int
 	// Metrics optionally counts the enumerator's work (greedy steps,
 	// local-search moves). The zero value reports nothing; counting never
 	// changes a placement.
@@ -460,11 +452,6 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 		}
 	}
 
-	// The two-level index: nil on fleets of one cell, where the flat scan
-	// below is already exact; otherwise per-cell headroom summaries that
-	// restrict each tenant's scan to the best candidate cells.
-	cells := newCellState(sh, machines, totals, capacity, opts.Cells)
-
 	// candidate is one scored "tenant t on machine s" what-if.
 	type candidate struct {
 		server   int
@@ -476,18 +463,10 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 		// Phase 1: enumerate candidate machines in server order, scoring
 		// each concurrently. Empty machines beyond the first of each
 		// profile are skipped: identical hardware makes them
-		// interchangeable. With cells active, level one first narrows the
-		// scan to the best-ranked cells' machines.
-		var allowed []bool
-		if cells != nil {
-			allowed = cells.candidates()
-		}
+		// interchangeable.
 		var cands []candidate
 		sawEmpty := make([]bool, np)
 		for s := 0; s < servers; s++ {
-			if cells != nil && (allowed == nil || !allowed[s]) {
-				continue
-			}
 			if len(machines[s].Tenants) >= capacity {
 				continue
 			}
@@ -540,13 +519,9 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 		}
 		s := cands[best].server
 		assignment[t] = s
-		prevTotal := totals[s]
 		machines[s].Tenants = append(machines[s].Tenants, t)
 		machines[s].Result = cands[best].res
 		totals[s] = cands[best].res.TotalCost
-		if cells != nil {
-			cells.seated(sh, s, len(machines[s].Tenants), capacity, prevTotal, totals[s])
-		}
 	}
 
 	gspan.SetInt("steps", int64(greedySteps))
@@ -558,12 +533,8 @@ func place(tenants []Tenant, opts Options, seed []int) (*Placement, error) {
 	}
 	lsMoves := 0
 	if opts.LocalSearch > 0 {
-		var cellOf []int // nil on one-cell fleets: no confinement
-		if cells != nil {
-			cellOf = cells.cellOf
-		}
 		lspan := opts.Trace.Child("local-search")
-		lsMoves, err = sc.localSearch(assignment, machines, totals, capacity, cellOf)
+		lsMoves, err = sc.localSearch(assignment, machines, totals, capacity)
 		if err != nil {
 			return nil, err
 		}

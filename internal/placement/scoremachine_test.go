@@ -1,9 +1,6 @@
 package placement
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 // ScoreMachine is the single-machine what-if behind the fleet's
 // cross-cell rebalancer; WithinLimits is the QoS predicate the
@@ -56,49 +53,5 @@ func TestScoreMachineAndWithinLimits(t *testing.T) {
 		if _, err := ScoreMachine(tenants, opts, bad.server, bad.members); err == nil {
 			t.Errorf("%s: no error", bad.name)
 		}
-	}
-}
-
-// SplitCellMembers must deal a cell into two halves balanced both in
-// total size (keep gets the extra) and per profile class, covering the
-// members exactly; sub-splittable cells come back unchanged.
-func TestSplitCellMembers(t *testing.T) {
-	profiles := []string{"a", "b", "a", "b", "a"}
-	members := []int{10, 11, 12, 13, 14}
-	keep, move := SplitCellMembers(profiles, members)
-	if len(keep) != 3 || len(move) != 2 {
-		t.Fatalf("split sizes %d/%d, want 3/2 (keep gets the extra)", len(keep), len(move))
-	}
-	byProfile := map[string][2]int{}
-	prof := map[int]string{}
-	for i, m := range members {
-		prof[m] = profiles[i]
-	}
-	all := append(append([]int(nil), keep...), move...)
-	sort.Ints(all)
-	for i, m := range all {
-		if m != members[i] {
-			t.Fatalf("halves %v+%v do not cover members %v", keep, move, members)
-		}
-	}
-	for _, m := range keep {
-		c := byProfile[prof[m]]
-		c[0]++
-		byProfile[prof[m]] = c
-	}
-	for _, m := range move {
-		c := byProfile[prof[m]]
-		c[1]++
-		byProfile[prof[m]] = c
-	}
-	for p, c := range byProfile {
-		if d := c[0] - c[1]; d < -1 || d > 1 {
-			t.Errorf("profile %q split %d/%d, want balanced ±1", p, c[0], c[1])
-		}
-	}
-
-	keep, move = SplitCellMembers([]string{"a"}, []int{7})
-	if len(keep) != 1 || keep[0] != 7 || move != nil {
-		t.Errorf("single-machine cell split to %v/%v, want unchanged", keep, move)
 	}
 }

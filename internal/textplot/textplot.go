@@ -1,5 +1,5 @@
 // Package textplot renders experiment results as fixed-width text tables
-// and simple ASCII charts, for cmd/experiments output and EXPERIMENTS.md.
+// and simple ASCII charts, for cmd/experiments output.
 package textplot
 
 import (

@@ -220,15 +220,6 @@ type Options struct {
 	// most, stopping when no strict improvement remains. 0 disables the
 	// phase; it has no effect on single-machine Recommend runs.
 	LocalSearch int
-	// Cells bounds a placement cell to at most this many servers in
-	// multi-machine placements (Cluster.Place): on larger clusters the
-	// servers are partitioned into cells and each tenant is placed via a
-	// two-level search — pick a candidate cell from per-cell headroom
-	// summaries, then run the machine-level search inside it — keeping
-	// placement cost near-linear in the fleet size. 0 disables
-	// partitioning; a cluster of at most Cells servers places
-	// bit-identically either way. No effect on single-machine Recommend.
-	Cells int
 }
 
 // Recommend runs the virtualization design advisor (§4) over all tenants,
