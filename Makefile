@@ -123,12 +123,13 @@ examples:
 		echo "build $$d"; $(GO) build -o .bin/ "./$$d"; done; rm -rf .bin
 
 # Package coverage with per-package floors on the long-lived-fleet
-# subsystems (memo table, score cache, placement, orchestrator): the
-# contract, soak and property harnesses are what holds these numbers
-# up, so a change that guts them fails here. The full (non -short)
-# suites run, soaks included.
+# subsystems (memo table, score cache, placement, orchestrator,
+# observability, and the §6 manager every machine runs): the contract,
+# soak and property harnesses are what holds these numbers up, so a
+# change that guts them fails here. The full (non -short) suites run,
+# soaks included.
 cover:
-	@out=$$($(GO) test -cover ./internal/memo ./internal/score ./internal/placement ./internal/fleet ./internal/obs); status=$$?; \
+	@out=$$($(GO) test -cover ./internal/memo ./internal/score ./internal/placement ./internal/fleet ./internal/obs ./internal/dynmgmt); status=$$?; \
 	echo "$$out"; \
 	if [ $$status -ne 0 ]; then echo "cover: tests failed"; exit 1; fi; \
 	echo "$$out" | awk '/coverage:/ { \
@@ -140,10 +141,11 @@ cover:
 		if ($$2 ~ /internal\/placement$$/) floor = 90; \
 		if ($$2 ~ /internal\/fleet$$/) floor = 90; \
 		if ($$2 ~ /internal\/obs$$/) floor = 90; \
+		if ($$2 ~ /internal\/dynmgmt$$/) floor = 90; \
 		if (floor > 0) floored++; \
 		if (pct + 0 < floor) { printf "cover: %s at %s%% is below the %d%% floor\n", $$2, pct, floor; bad = 1 } \
 	} END { \
-		if (floored != 5) { printf "cover: only %d of 5 floored packages reported coverage (test suite missing?)\n", floored + 0; bad = 1 } \
+		if (floored != 6) { printf "cover: only %d of 6 floored packages reported coverage (test suite missing?)\n", floored + 0; bad = 1 } \
 		exit bad }'
 
 fmt:

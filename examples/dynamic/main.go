@@ -30,7 +30,10 @@ func main() {
 	dss := workload.New("dss", tpch.Statement(1), tpch.Statement(18))
 	oltp := tpcc.Mix(5, 8, 1).Scale(0.02)
 
-	mkInput := func(w *workload.Workload, schema any) dynmgmt.PeriodInput {
+	// Each input is keyed by its VM slot, not its workload: the manager's
+	// state belongs to the slot, so when the workloads trade VMs each
+	// slot's per-query estimate jumps and reads as a major change.
+	mkInput := func(vm string, w *workload.Workload, schema any) dynmgmt.PeriodInput {
 		var sys dbms.System
 		if schema == dssSchema {
 			sys = db2sim.New(dssSchema)
@@ -49,6 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		return dynmgmt.PeriodInput{
+			ID:             vm,
 			Estimator:      est,
 			AvgEstPerQuery: avg,
 			Measure: func(a core.Allocation) (float64, error) {
@@ -57,7 +61,7 @@ func main() {
 		}
 	}
 
-	mgr := dynmgmt.NewManager(2, core.Options{Resources: 2, Delta: 0.05})
+	mgr := dynmgmt.NewManager(core.Options{Resources: 2, Delta: 0.05})
 	swapped := false
 	for period := 1; period <= 6; period++ {
 		if period == 4 {
@@ -67,7 +71,7 @@ func main() {
 		if swapped {
 			w0, s0, w1, s1 = oltp, any(oltpSchema), dss, any(dssSchema)
 		}
-		rep, err := mgr.Period([]dynmgmt.PeriodInput{mkInput(w0, s0), mkInput(w1, s1)})
+		rep, err := mgr.Period([]dynmgmt.PeriodInput{mkInput("vm0", w0, s0), mkInput("vm1", w1, s1)})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,7 +9,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -93,52 +92,4 @@ func BatchShare(workers, tasks int) int {
 		return w
 	}
 	return 1
-}
-
-// ParallelEstimator fans what-if evaluations of one workload out over a
-// bounded worker pool. It implements Estimator (single calls delegate
-// unchanged) and adds EstimateBatch for costing many candidate allocations
-// at once. The wrapped estimator must be safe for concurrent use; the
-// repository's optimizer-backed estimators are (the simulated systems
-// guard their plan caches, and what-if repricing does not mutate plans).
-type ParallelEstimator struct {
-	// Est is the underlying estimator.
-	Est Estimator
-	// Workers bounds concurrent evaluations (0 means GOMAXPROCS).
-	Workers int
-	// Ctx cancels in-flight batches; nil means context.Background().
-	Ctx context.Context
-}
-
-var _ Estimator = (*ParallelEstimator)(nil)
-
-// Estimate implements Estimator by delegating to the wrapped estimator.
-func (p *ParallelEstimator) Estimate(a Allocation) (float64, string, error) {
-	return p.Est.Estimate(a)
-}
-
-// EstimateBatch costs every allocation concurrently and returns the
-// samples in input order. The first evaluation error cancels the batch.
-func (p *ParallelEstimator) EstimateBatch(allocs []Allocation) ([]Sample, error) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx := p.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]Sample, len(allocs))
-	err := forEach(ctx, workers, len(allocs), func(i int) error {
-		sec, sig, err := p.Est.Estimate(allocs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = Sample{Alloc: allocs[i].Clone(), Seconds: sec, PlanSig: sig}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

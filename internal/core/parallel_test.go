@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -215,44 +216,24 @@ func TestRecommendHonorsCanceledContext(t *testing.T) {
 	}
 }
 
-func TestParallelEstimatorBatch(t *testing.T) {
-	ce := &countingEstimator{inner: synthEstimator(10, 5, 0)}
-	pe := &ParallelEstimator{Est: ce, Workers: 4}
-	var allocs []Allocation
-	for i := 1; i <= 20; i++ {
-		allocs = append(allocs, Allocation{float64(i) / 20, 1 - float64(i)/20 + 0.05})
-	}
-	samples, err := pe.EstimateBatch(allocs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != len(allocs) {
-		t.Fatalf("want %d samples, got %d", len(allocs), len(samples))
-	}
-	for i, sm := range samples {
-		want, _, _ := ce.inner.Estimate(allocs[i])
-		if sm.Seconds != want {
-			t.Fatalf("sample %d out of order: got %v want %v", i, sm.Seconds, want)
-		}
-	}
-	// Single-call path delegates unchanged.
-	sec, _, err := pe.Estimate(allocs[0])
-	if err != nil || sec <= 0 {
-		t.Fatalf("Estimate: %v, %v", sec, err)
-	}
-}
-
+// An estimator error raised while the worker pool costs a candidate
+// batch must surface from Recommend at any Parallelism, not be swallowed
+// by a worker.
 func TestParallelEstimatorBatchPropagatesError(t *testing.T) {
+	errBoom := errors.New("injected estimator failure")
+	// Equal shares (0.5) and the dedicated machine (1) cost fine; every
+	// other CPU share fails, so the first δ-shift candidate batch errs.
 	boom := EstimatorFunc(func(a Allocation) (float64, string, error) {
-		if a[0] > 0.5 {
-			return 0, "", errInfeasible
+		if a[0] != 0.5 && a[0] != 1 {
+			return 0, "", errBoom
 		}
-		return 1, "p", nil
+		return 1 / a[0], "p", nil
 	})
-	pe := &ParallelEstimator{Est: boom, Workers: 4}
-	_, err := pe.EstimateBatch([]Allocation{{0.1, 0.9}, {0.9, 0.1}, {0.2, 0.8}})
-	if err == nil {
-		t.Fatal("batch should surface the evaluation error")
+	for _, p := range []int{1, 4} {
+		_, err := Recommend([]Estimator{boom, synthEstimator(10, 5, 0)}, Options{Delta: 0.05, Parallelism: p})
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("p=%d: Recommend returned %v, want the estimator's error", p, err)
+		}
 	}
 }
 

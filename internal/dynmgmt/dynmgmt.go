@@ -60,22 +60,19 @@ func (c ChangeClass) String() string {
 // current average optimizer estimate per query (the §6.1 change metric's
 // raw material), and a way to measure actual cost.
 type PeriodInput struct {
-	// ID identifies the tenant across periods. When IDs are used (all
-	// inputs of a period must then carry one), the manager keys its
-	// per-tenant state by ID, so the tenant set may change between
-	// periods — the fleet-level case where a placement layer moves
-	// tenants on and off a machine. A newly appearing ID starts with
-	// first-period semantics (no change to classify, model built fresh
-	// from the optimizer); a disappearing ID's state is dropped. With
-	// empty IDs, inputs are positional and the tenant count is fixed at
-	// NewManager's n.
+	// ID identifies the tenant across periods. Every input carries one,
+	// unique within the period, and the manager keys its per-tenant state
+	// by it, so the tenant set may change between periods — the
+	// fleet-level case where a placement layer moves tenants on and off a
+	// machine. A newly appearing ID starts with first-period semantics
+	// (no change to classify, model built fresh from the optimizer); a
+	// disappearing ID's state is dropped.
 	ID string
 	// Gain and Limit optionally carry the tenant's QoS settings (the §3
 	// gain factor G_i ≥ 1 and degradation limit L_i ≥ 1; zero means
-	// default). When any input sets one, the period's advisor run uses
-	// these per-tenant values instead of Opts.Gains/Limits — positional
-	// option vectors cannot follow a tenant set that changes between
-	// periods, so ID-keyed managers must attach QoS here.
+	// default). They are the manager's only QoS channel: a positional
+	// Opts.Gains/Limits vector could not follow a tenant set that changes
+	// between periods, so the manager rejects one.
 	Gain  float64
 	Limit float64
 	// Estimator is optimizer-backed for the current workload.
@@ -104,13 +101,16 @@ type PeriodReport struct {
 	Tenants     []TenantReport
 }
 
-// Manager runs dynamic configuration management over N tenants.
+// Manager runs dynamic configuration management over one machine's
+// tenants, keyed by tenant ID.
 type Manager struct {
 	// Opts configures the advisor's enumerator. Opts.Parallelism and
 	// Opts.Ctx thread straight through to every per-period re-run of the
 	// advisor, so a manager driving many tenants can fan its what-if
 	// estimations over all cores; reports are bit-identical across
-	// Parallelism settings.
+	// Parallelism settings. Opts.Gains and Opts.Limits must be nil: QoS
+	// rides on each PeriodInput, and each period's advisor run builds
+	// them from its inputs.
 	Opts core.Options
 	// ForceContinuous disables change classification, treating every
 	// change as minor — the "continuous online refinement" baseline the
@@ -129,24 +129,14 @@ type Manager struct {
 	// changes a report.
 	Metrics Metrics
 
+	// tenants is the last committed period's tenant set, in its input
+	// order; prev holds that period's deployed allocations.
 	tenants []*tenantState
-	ids     []string
 	prev    []core.Allocation
-	// mode locks the manager to positional or ID-keyed inputs after the
-	// first period; switching midway would silently misattribute or drop
-	// accumulated per-tenant state, so it is rejected instead.
-	mode inputMode
 }
 
-type inputMode int
-
-const (
-	modeUnset inputMode = iota
-	modePositional
-	modeKeyed
-)
-
 type tenantState struct {
+	id         string
 	model      *refine.Model
 	prevAvg    float64
 	prevErr    float64
@@ -154,33 +144,27 @@ type tenantState struct {
 	converged  bool
 }
 
-// NewManager creates a manager for n tenants.
-func NewManager(n int, opts core.Options) *Manager {
-	m := &Manager{Opts: opts}
-	for i := 0; i < n; i++ {
-		m.tenants = append(m.tenants, &tenantState{})
-	}
-	return m
+// NewManager creates a manager with no tenants: each period's inputs
+// name them.
+func NewManager(opts core.Options) *Manager {
+	return &Manager{Opts: opts}
 }
 
 // Fresh reports whether the manager holds no accumulated state, exactly
-// as NewManager(0, …) returns it: no tenants, no previous allocations,
-// and no input mode locked by a completed period.
+// as NewManager returns it: no tenants and no previous allocations.
 func (m *Manager) Fresh() bool {
-	return m.mode == modeUnset && len(m.tenants) == 0 && len(m.prev) == 0
+	return len(m.tenants) == 0 && len(m.prev) == 0
 }
 
 // State is an opaque deep snapshot of a manager's accumulated per-tenant
-// state. A single Period call is already transactional on its own; the
-// Snapshot/Restore pair extends that guarantee to callers coordinating
-// several managers — the fleet orchestrator snapshots every machine's
-// manager before a period and restores them all if any machine fails, so
-// a fleet period commits everywhere or nowhere.
+// state. Period rolls a failed period back through it; callers
+// coordinating several managers use the pair directly — the fleet
+// orchestrator snapshots every recomputing machine's manager before a
+// period and restores them all if any machine fails, so a fleet period
+// commits everywhere or nowhere.
 type State struct {
 	tenants []*tenantState
-	ids     []string
 	prev    []core.Allocation
-	mode    inputMode
 }
 
 // cloneTenants deep-copies per-tenant states (models included).
@@ -198,9 +182,7 @@ func cloneTenants(in []*tenantState) []*tenantState {
 func (m *Manager) Snapshot() *State {
 	return &State{
 		tenants: cloneTenants(m.tenants),
-		ids:     append([]string(nil), m.ids...),
-		prev:    cloneAllocs(m.prev),
-		mode:    m.mode,
+		prev:    refine.CloneAllocs(m.prev),
 	}
 }
 
@@ -208,76 +190,49 @@ func (m *Manager) Snapshot() *State {
 // (restoring clones again), so one snapshot can back multiple retries.
 func (m *Manager) Restore(s *State) {
 	m.tenants = cloneTenants(s.tenants)
-	m.ids = append([]string(nil), s.ids...)
-	m.prev = cloneAllocs(s.prev)
-	m.mode = s.mode
+	m.prev = refine.CloneAllocs(s.prev)
 }
 
-// reconciled is the tenant state computed from one period's inputs,
-// validated but not yet committed: Period applies it only after all
-// remaining input validation (advisorOpts) has also passed, so a
-// rejected call never locks the manager's mode or drops state.
+// reconciled is the tenant set computed from one period's inputs,
+// validated but not yet committed: periodLocked installs it only once
+// the period has succeeded.
 type reconciled struct {
-	keyed     bool
 	tenants   []*tenantState
-	ids       []string
 	resetPrev bool
 }
 
-// reconcile checks this period's inputs against the manager's mode and
-// computes the reconciled per-tenant state. Positional inputs (no IDs)
-// require a fixed tenant count; ID-carrying inputs may add tenants
-// (fresh state) or remove them (state dropped). When the tenant set
-// changes, the previous period's allocations must be forgotten —
-// comparing allocation vectors of different tenant sets would be
-// meaningless for the §5 convergence rule.
+// reconcile checks this period's inputs — at least one, each with a
+// non-empty ID unique within the period — and computes the period's
+// tenant set: a known ID keeps its state, a new one starts fresh, and
+// an absent one is dropped. When the tenant set changes, the previous
+// period's allocations must be forgotten — comparing allocation vectors
+// of different tenant sets would be meaningless for the §5 convergence
+// rule.
 func (m *Manager) reconcile(inputs []PeriodInput) (reconciled, error) {
-	withID := 0
-	for _, in := range inputs {
-		if in.ID != "" {
-			withID++
-		}
-	}
-	if withID == 0 {
-		if m.mode == modeKeyed {
-			return reconciled{}, errors.New("dynmgmt: manager has ID-keyed tenant state; inputs must keep carrying IDs")
-		}
-		if len(inputs) != len(m.tenants) {
-			return reconciled{}, fmt.Errorf("dynmgmt: %d inputs for %d tenants", len(inputs), len(m.tenants))
-		}
-		return reconciled{tenants: m.tenants, ids: m.ids}, nil
-	}
-	if withID != len(inputs) {
-		return reconciled{}, fmt.Errorf("dynmgmt: %d of %d inputs carry an ID; IDs are all-or-none", withID, len(inputs))
-	}
-	if m.mode == modePositional {
-		return reconciled{}, errors.New("dynmgmt: manager has positional tenant state; attaching IDs midway would discard it")
+	if len(inputs) == 0 {
+		return reconciled{}, errors.New("dynmgmt: a period needs at least one tenant input")
 	}
 	byID := make(map[string]*tenantState, len(m.tenants))
-	for i, id := range m.ids {
-		if id != "" {
-			byID[id] = m.tenants[i]
-		}
+	for _, ts := range m.tenants {
+		byID[ts.id] = ts
 	}
-	r := reconciled{
-		keyed:   true,
-		tenants: make([]*tenantState, len(inputs)),
-		ids:     make([]string, len(inputs)),
-	}
-	sameSet := len(inputs) == len(m.ids)
+	r := reconciled{tenants: make([]*tenantState, len(inputs))}
+	sameSet := len(inputs) == len(m.tenants)
 	seen := make(map[string]bool, len(inputs))
 	for i, in := range inputs {
+		if in.ID == "" {
+			return reconciled{}, fmt.Errorf("dynmgmt: input %d has no tenant ID", i)
+		}
 		if seen[in.ID] {
 			return reconciled{}, fmt.Errorf("dynmgmt: duplicate tenant ID %q", in.ID)
 		}
 		seen[in.ID] = true
-		r.ids[i] = in.ID
-		if ts, ok := byID[in.ID]; ok {
-			r.tenants[i] = ts
-		} else {
-			r.tenants[i] = &tenantState{}
+		ts, ok := byID[in.ID]
+		if !ok {
+			ts = &tenantState{id: in.ID}
 		}
-		if sameSet && m.ids[i] != in.ID {
+		r.tenants[i] = ts
+		if sameSet && m.tenants[i].id != in.ID {
 			sameSet = false
 		}
 	}
@@ -285,41 +240,19 @@ func (m *Manager) reconcile(inputs []PeriodInput) (reconciled, error) {
 	return r, nil
 }
 
-// apply commits a reconciled state once the period has succeeded: the
-// manager's mode locks on the first completed period. (Period overwrites
-// m.prev with the fresh allocations right after, so resetPrev needs no
-// handling here.)
-func (m *Manager) apply(r reconciled) {
-	if r.keyed {
-		m.mode = modeKeyed
-		m.tenants = r.tenants
-		m.ids = r.ids
-	} else {
-		m.mode = modePositional
-	}
-}
-
-// advisorOpts shapes this period's enumerator options. Positional
-// managers without per-input QoS use Opts verbatim (the original,
-// fixed-tenant-set contract). As soon as inputs carry QoS — or the
-// manager is ID-keyed, where the tenant set may change size and order —
-// Gains and Limits are rebuilt from the inputs each period, and mixing
-// the two QoS channels is rejected rather than silently misassigned.
-func (m *Manager) advisorOpts(inputs []PeriodInput, keyed bool) (core.Options, error) {
+// advisorOpts shapes this period's enumerator options: Opts verbatim,
+// with Gains and Limits built from the inputs when any input sets QoS.
+func (m *Manager) advisorOpts(inputs []PeriodInput) (core.Options, error) {
 	opts := m.Opts
+	if opts.Gains != nil || opts.Limits != nil {
+		return opts, errors.New("dynmgmt: QoS rides on each PeriodInput, not on Opts.Gains/Limits")
+	}
 	anyQoS := false
 	for _, in := range inputs {
 		if in.Gain != 0 || in.Limit != 0 {
 			anyQoS = true
 			break
 		}
-	}
-	positionalQoS := opts.Gains != nil || opts.Limits != nil
-	if keyed && positionalQoS {
-		return opts, errors.New("dynmgmt: ID-keyed inputs cannot use positional Opts.Gains/Limits; set Gain/Limit on each PeriodInput")
-	}
-	if anyQoS && positionalQoS {
-		return opts, errors.New("dynmgmt: set QoS either on Opts.Gains/Limits or on PeriodInput, not both")
 	}
 	if !anyQoS {
 		return opts, nil
@@ -328,8 +261,8 @@ func (m *Manager) advisorOpts(inputs []PeriodInput, keyed bool) (core.Options, e
 	opts.Gains = make([]float64, n)
 	opts.Limits = make([]float64, n)
 	for i, in := range inputs {
-		// Values in (0,1) are always a caller bug (core rejects them on
-		// the positional channel); only the 0 zero-value means "default".
+		// Values in (0,1) are always a caller bug (core rejects them in
+		// Options); only the 0 zero-value means "default".
 		if in.Gain != 0 && in.Gain < 1 {
 			return opts, fmt.Errorf("dynmgmt: input %d gain %v < 1", i, in.Gain)
 		}
@@ -350,73 +283,46 @@ func (m *Manager) advisorOpts(inputs []PeriodInput, keyed bool) (core.Options, e
 
 // Period processes one monitoring period end: classify changes, pick the
 // per-tenant cost-model basis, re-run the advisor, deploy, measure, and
-// refine. The first call is the initial recommendation (everything is
-// built from the optimizer).
+// refine. A tenant's first period is its initial recommendation (its
+// model is built from the optimizer).
 //
-// Period is transactional: a failure anywhere mid-period (advisor error,
-// measurement error, model rebuild error) restores every tenant's
-// classification state and cost model to their pre-call values, so the
-// manager is fully retryable — the failed period deployed nothing.
+// Period is transactional: it is PeriodNoSnapshot between a Snapshot and,
+// on any failure (invalid input, advisor error, measurement error, model
+// rebuild error), a Restore — so the manager is fully retryable, and the
+// failed period deployed nothing.
 func (m *Manager) Period(inputs []PeriodInput) (*PeriodReport, error) {
-	return m.period(inputs, true)
+	s := m.Snapshot()
+	rep, err := m.PeriodNoSnapshot(inputs)
+	if err != nil {
+		m.Restore(s)
+	}
+	return rep, err
 }
 
-// PeriodNoSnapshot is Period without the internal per-tenant snapshot:
-// the deferred-rollback variant for callers that already hold a manager
-// Snapshot — the fleet orchestrator snapshots every machine before a
-// period, so the per-Period snapshot would clone every refined model a
-// second time for nothing. On error the manager's per-tenant state may be
-// partially advanced; the caller MUST Restore its snapshot before
-// retrying or continuing. On success the two variants are identical.
+// PeriodNoSnapshot is Period without its rollback, for callers that
+// already hold a manager Snapshot — the fleet orchestrator snapshots
+// every machine before a period, so a second snapshot per Period would
+// clone every refined model again for nothing. Invalid inputs are
+// rejected before anything changes; a later failure may leave
+// per-tenant state partially advanced, and the caller MUST Restore its
+// snapshot before retrying or continuing. On success the two are
+// identical.
 func (m *Manager) PeriodNoSnapshot(inputs []PeriodInput) (*PeriodReport, error) {
-	return m.period(inputs, false)
-}
-
-func (m *Manager) period(inputs []PeriodInput, guard bool) (*PeriodReport, error) {
 	rec, err := m.reconcile(inputs)
 	if err != nil {
 		return nil, err
 	}
-	opts, err := m.advisorOpts(inputs, rec.keyed)
+	opts, err := m.advisorOpts(inputs)
 	if err != nil {
 		return nil, err
-	}
-	// The reconciled tenant set is committed only after the period
-	// succeeds: a mid-period failure (advisor error, measure error) must
-	// not drop a removed tenant's accumulated state — the failed period
-	// deployed nothing, so the caller may retry with the old set.
-	// Survivor tenantStates are shared pointers, so every per-tenant
-	// field this period mutates (classification in step 1, models and
-	// error history in step 3) is snapshotted here and restored on any
-	// failure — unless the caller holds its own Snapshot and asked for the
-	// deferred-rollback variant.
-	tenants := rec.tenants
-	if guard {
-		snaps := make([]tenantState, len(tenants))
-		for i, ts := range tenants {
-			snaps[i] = *ts
-			snaps[i].model = ts.model.Clone()
-		}
-		committed := false
-		defer func() {
-			if committed {
-				return
-			}
-			for i, ts := range tenants {
-				*ts = snaps[i]
-			}
-		}()
-		rep, err := m.periodLocked(inputs, rec, opts)
-		if err == nil {
-			committed = true
-		}
-		return rep, err
 	}
 	return m.periodLocked(inputs, rec, opts)
 }
 
-// periodLocked is the period body proper; any error may leave per-tenant
-// state partially advanced (the callers above decide who rolls back).
+// periodLocked is the period body proper. Survivors' tenant states are
+// shared with the committed set and advanced in place, so an error may
+// leave them partially advanced; the tenant set and the previous
+// allocations are committed only at the end.
 func (m *Manager) periodLocked(inputs []PeriodInput, rec reconciled, opts core.Options) (*PeriodReport, error) {
 	tenants := rec.tenants
 	prev := m.prev
@@ -544,36 +450,14 @@ func (m *Manager) periodLocked(inputs []PeriodInput, rec reconciled, opts core.O
 	// 4. Convergence: a repeated recommendation means refinement has
 	// settled (§5's stopping rule), so observation pauses until the next
 	// detected change.
-	if prev != nil && sameAllocs(prev, res.Allocations) {
+	if prev != nil && refine.SameAllocs(prev, res.Allocations) {
 		for i := range tenants {
 			tenants[i].converged = true
 			report.Tenants[i].Converged = true
 		}
 		m.Metrics.Convergences.Add(uint64(len(tenants)))
 	}
-	m.apply(rec)
-	m.prev = cloneAllocs(res.Allocations)
+	m.tenants = rec.tenants
+	m.prev = refine.CloneAllocs(res.Allocations)
 	return report, nil
-}
-
-func cloneAllocs(in []core.Allocation) []core.Allocation {
-	out := make([]core.Allocation, len(in))
-	for i, a := range in {
-		out[i] = a.Clone()
-	}
-	return out
-}
-
-func sameAllocs(a, b []core.Allocation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		for j := range a[i] {
-			if d := a[i][j] - b[i][j]; d > 1e-9 || d < -1e-9 {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package dynmgmt
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -22,6 +23,7 @@ func (sc *scenario) input(i int) PeriodInput {
 	est := sc.estAlpha[i] * sc.intensity[i]
 	truth := sc.trueAlpha[i] * sc.intensity[i]
 	return PeriodInput{
+		ID: fmt.Sprintf("t%d", i),
 		Estimator: core.EstimatorFunc(func(a core.Allocation) (float64, string, error) {
 			return est/a[0] + 2/a[1], "p", nil
 		}),
@@ -46,7 +48,7 @@ func newScenario() *scenario {
 
 func TestFirstPeriodBuildsFromOptimizer(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	rep, err := m.Period(sc.inputs())
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +69,7 @@ func TestFirstPeriodBuildsFromOptimizer(t *testing.T) {
 func TestStableWorkloadConvergesAndStopsRefining(t *testing.T) {
 	sc := newScenario()
 	sc.estAlpha = sc.trueAlpha // perfect optimizer
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	var last *PeriodReport
 	for p := 0; p < 4; p++ {
 		rep, err := m.Period(sc.inputs())
@@ -83,7 +85,7 @@ func TestStableWorkloadConvergesAndStopsRefining(t *testing.T) {
 
 func TestMinorChangesHandledByRefinement(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	if _, err := m.Period(sc.inputs()); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestMinorChangesHandledByRefinement(t *testing.T) {
 
 func TestMajorChangeDiscardsModel(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	if _, err := m.Period(sc.inputs()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestMajorChangeDiscardsModel(t *testing.T) {
 
 func TestForceContinuousNeverRebuilds(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	m.ForceContinuous = true
 	if _, err := m.Period(sc.inputs()); err != nil {
 		t.Fatal(err)
@@ -149,7 +151,7 @@ func TestForceContinuousNeverRebuilds(t *testing.T) {
 // refined model.
 func TestSwapRecovery(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	for p := 0; p < 3; p++ {
 		if _, err := m.Period(sc.inputs()); err != nil {
 			t.Fatal(err)
@@ -171,10 +173,18 @@ func TestSwapRecovery(t *testing.T) {
 	}
 }
 
+func TestChangeClassString(t *testing.T) {
+	for c, want := range map[ChangeClass]string{ChangeNone: "none", ChangeMinor: "minor", ChangeMajor: "major", 7: "?"} {
+		if got := c.String(); got != want {
+			t.Fatalf("ChangeClass(%d).String() = %q, want %q", int(c), got, want)
+		}
+	}
+}
+
 func TestPeriodInputValidation(t *testing.T) {
-	m := NewManager(2, core.Options{})
+	m := NewManager(core.Options{})
 	if _, err := m.Period(nil); err == nil {
-		t.Fatal("mismatched input count should error")
+		t.Fatal("a period without inputs should error")
 	}
 }
 
@@ -197,7 +207,7 @@ func synthInput(id string, avg float64) PeriodInput {
 // machine) must get first-period semantics — nothing to classify, model
 // built fresh — while existing tenants keep their classification state.
 func TestTenantAddedBetweenPeriods(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	base := []PeriodInput{synthInput("a", 30), synthInput("b", 20)}
 	for p := 0; p < 2; p++ {
 		if _, err := m.Period(base); err != nil {
@@ -226,10 +236,46 @@ func TestTenantAddedBetweenPeriods(t *testing.T) {
 	}
 }
 
+// State follows the tenant ID, not the input's position: the same
+// tenants in another order keep their classification state and models,
+// but the previous period's allocation vector no longer lines up, so
+// the §5 convergence test starts over.
+func TestTenantReorderKeepsStateByID(t *testing.T) {
+	m := NewManager(core.Options{Delta: 0.05})
+	ab := []PeriodInput{synthInput("a", 30), synthInput("b", 20)}
+	var last *PeriodReport
+	for p := 0; p < 4; p++ {
+		rep, err := m.Period(ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = rep
+	}
+	if !last.Tenants[0].Converged {
+		t.Fatal("setup: stable workload should have converged")
+	}
+	rep, err := m.Period([]PeriodInput{ab[1], ab[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 0} {
+		tr := rep.Tenants[i]
+		if tr.Change != ChangeNone || tr.Rebuilt || tr.Refined {
+			t.Fatalf("tenant %s lost its state in the reorder: %+v", ab[want].ID, tr)
+		}
+		if tr.Converged {
+			t.Fatalf("tenant %s: a reordered period has no previous allocations to repeat", ab[want].ID)
+		}
+		if !reflect.DeepEqual(rep.Allocations[i], last.Allocations[want]) {
+			t.Fatalf("tenant %s moved from %v to %v", ab[want].ID, last.Allocations[want], rep.Allocations[i])
+		}
+	}
+}
+
 // A tenant leaving mid-run must drop its state; survivors keep theirs,
 // and a tenant re-appearing later is treated as brand new.
 func TestTenantRemovedBetweenPeriods(t *testing.T) {
-	m := NewManager(3, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	if _, err := m.Period([]PeriodInput{synthInput("a", 30), synthInput("b", 20), synthInput("c", 40)}); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +304,7 @@ func TestTenantRemovedBetweenPeriods(t *testing.T) {
 // once refinement has converged the manager must stop observing — the
 // steady-state short-circuit.
 func TestUnchangedWorkloadShortCircuit(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	inputs := []PeriodInput{synthInput("a", 30), synthInput("b", 20)}
 	var rep *PeriodReport
 	var err error
@@ -290,10 +336,10 @@ func TestUnchangedWorkloadShortCircuit(t *testing.T) {
 }
 
 // With a changing tenant set, QoS must ride on the inputs so it follows
-// the tenant, not the slot: positional Opts vectors are rejected in
-// keyed mode, and a per-input limit is honored across a set change.
+// the tenant, not the slot: a per-input limit is honored across a set
+// change, and positional Opts vectors are rejected.
 func TestPeriodQoSFollowsTenantID(t *testing.T) {
-	m := NewManager(3, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	limited := func(avg float64) PeriodInput {
 		in := synthInput("b", avg)
 		in.Limit = 2
@@ -314,57 +360,59 @@ func TestPeriodQoSFollowsTenantID(t *testing.T) {
 	if deg := rep.Tenants[1].Est / dedicated; deg > 2+1e-9 {
 		t.Fatalf("tenant b degraded %vx past its travelling limit", deg)
 	}
-	// Positional QoS vectors cannot follow IDs: reject, don't misassign.
-	mPos := NewManager(2, core.Options{Delta: 0.05, Limits: []float64{2, 1e308}})
-	if _, err := mPos.Period([]PeriodInput{synthInput("a", 30), synthInput("b", 20)}); err == nil {
-		t.Fatal("keyed inputs with positional Opts.Limits should error")
-	}
-	// Both QoS channels at once is ambiguous even positionally.
-	mBoth := NewManager(1, core.Options{Delta: 0.05, Limits: []float64{2}})
-	in := synthInput("", 30)
-	in.Limit = 3
-	if _, err := mBoth.Period([]PeriodInput{in}); err == nil {
-		t.Fatal("QoS on both Opts and PeriodInput should error")
+	// Positional QoS vectors cannot follow IDs: reject them, whether or
+	// not the inputs carry QoS too, and commit nothing. The same holds for
+	// per-input values below 1.
+	for _, tc := range []struct {
+		name   string
+		opts   core.Options
+		inputs []PeriodInput
+	}{
+		{"Opts.Limits", core.Options{Delta: 0.05, Limits: []float64{2, 1e308}},
+			[]PeriodInput{synthInput("a", 30), synthInput("b", 20)}},
+		{"Opts.Gains", core.Options{Delta: 0.05, Gains: []float64{2, 1}},
+			[]PeriodInput{synthInput("a", 30), synthInput("b", 20)}},
+		{"Opts.Limits beside input QoS", core.Options{Delta: 0.05, Limits: []float64{2, 1e308}},
+			[]PeriodInput{synthInput("a", 30), limited(20)}},
+		{"input gain below 1", core.Options{Delta: 0.05},
+			[]PeriodInput{synthInput("a", 30), {ID: "b", Gain: 0.5}}},
+		{"input limit below 1", core.Options{Delta: 0.05},
+			[]PeriodInput{synthInput("a", 30), {ID: "b", Limit: 0.5}}},
+	} {
+		mq := NewManager(tc.opts)
+		if _, err := mq.Period(tc.inputs); err == nil {
+			t.Fatalf("%s: should be rejected", tc.name)
+		}
+		if !mq.Fresh() {
+			t.Fatalf("%s: a rejected period left state behind", tc.name)
+		}
 	}
 }
 
+// Every input must carry a non-empty ID, unique within the period; a
+// rejected call commits nothing.
 func TestPeriodIDValidation(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
-	mixed := []PeriodInput{synthInput("a", 30), synthInput("", 20)}
-	if _, err := m.Period(mixed); err == nil {
-		t.Fatal("mixed keyed/positional inputs should error")
-	}
-	dup := []PeriodInput{synthInput("a", 30), synthInput("a", 20)}
-	if _, err := m.Period(dup); err == nil {
-		t.Fatal("duplicate IDs should error")
-	}
-	// Once keyed, always keyed: positional inputs against ID-keyed state
-	// would silently attribute one tenant's model to another.
-	if _, err := m.Period([]PeriodInput{synthInput("a", 30), synthInput("b", 20)}); err != nil {
-		t.Fatal(err)
-	}
-	positional := []PeriodInput{synthInput("", 30), synthInput("", 20)}
-	if _, err := m.Period(positional); err == nil {
-		t.Fatal("keyed manager must reject ID-less inputs")
-	}
-	// The reverse switch is equally destructive: a positional manager has
-	// per-slot state that attaching IDs would silently discard.
-	mp := NewManager(2, core.Options{Delta: 0.05})
-	if _, err := mp.Period(positional); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mp.Period([]PeriodInput{synthInput("a", 30), synthInput("b", 20)}); err == nil {
-		t.Fatal("positional manager must reject ID-carrying inputs")
-	}
-	// A rejected call must not lock the mode or drop state: a keyed call
-	// that fails validation (positional QoS vectors) leaves the manager
-	// free to continue positionally.
-	mv := NewManager(2, core.Options{Delta: 0.05, Limits: []float64{2, 1e308}})
-	if _, err := mv.Period([]PeriodInput{synthInput("a", 30), synthInput("b", 20)}); err == nil {
-		t.Fatal("keyed inputs with positional Opts.Limits should error")
-	}
-	if _, err := mv.Period(positional); err != nil {
-		t.Fatalf("failed keyed call must not lock the manager into keyed mode: %v", err)
+	for _, tc := range []struct {
+		name   string
+		inputs []PeriodInput
+	}{
+		{"missing ID", []PeriodInput{synthInput("a", 30), synthInput("", 20)}},
+		{"no IDs", []PeriodInput{synthInput("", 30), synthInput("", 20)}},
+		{"duplicate ID", []PeriodInput{synthInput("a", 30), synthInput("a", 20)}},
+	} {
+		m := NewManager(core.Options{Delta: 0.05})
+		if _, err := m.Period(tc.inputs); err == nil {
+			t.Fatalf("%s: should error", tc.name)
+		}
+		if !m.Fresh() {
+			t.Fatalf("%s: a rejected period left state behind", tc.name)
+		}
+		if _, err := m.PeriodNoSnapshot(tc.inputs); err == nil {
+			t.Fatalf("%s: PeriodNoSnapshot should error", tc.name)
+		}
+		if !m.Fresh() {
+			t.Fatalf("%s: a rejected PeriodNoSnapshot left state behind", tc.name)
+		}
 	}
 }
 
@@ -373,7 +421,7 @@ func TestPeriodIDValidation(t *testing.T) {
 // its accumulated state, since the failed period deployed nothing and
 // the caller will retry with the old set.
 func TestFailedPeriodPreservesTenantSet(t *testing.T) {
-	m := NewManager(3, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	full := []PeriodInput{synthInput("a", 30), synthInput("b", 20), synthInput("c", 40)}
 	for p := 0; p < 2; p++ {
 		if _, err := m.Period(full); err != nil {
@@ -406,7 +454,7 @@ func TestFailedPeriodPreservesTenantSet(t *testing.T) {
 // tenant's classification state and cost model, so a retry behaves as if
 // the failed call never happened.
 func TestFailedPeriodRestoresClassificationState(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	inputs := []PeriodInput{synthInput("a", 30), synthInput("b", 20)}
 	for p := 0; p < 2; p++ {
 		if _, err := m.Period(inputs); err != nil {
@@ -446,7 +494,7 @@ func TestFailedPeriodRestoresClassificationState(t *testing.T) {
 // refined models already scaled by step 1's rebuild decisions — and a
 // converged manager interrupted by a failure must stay converged.
 func TestFailedPeriodRestoresModels(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	inputs := []PeriodInput{synthInput("a", 30), synthInput("b", 20)}
 	var last *PeriodReport
 	for p := 0; p < 4; p++ {
@@ -487,7 +535,7 @@ func TestFailedPeriodRestoresModels(t *testing.T) {
 // allocations; the manager must route every per-period advisor run
 // through it.
 func TestPeriodRecommendHook(t *testing.T) {
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	calls := 0
 	m.Recommend = func(ests []core.Estimator, opts core.Options) (*core.Result, error) {
 		calls++
@@ -510,7 +558,7 @@ func TestPeriodRecommendHook(t *testing.T) {
 func TestPeriodParallelParity(t *testing.T) {
 	run := func(parallelism int) []*PeriodReport {
 		sc := newScenario()
-		m := NewManager(2, core.Options{Delta: 0.05, Parallelism: parallelism})
+		m := NewManager(core.Options{Delta: 0.05, Parallelism: parallelism})
 		var reports []*PeriodReport
 		for p := 0; p < 5; p++ {
 			if p == 2 {
@@ -539,12 +587,12 @@ func TestPeriodParallelParity(t *testing.T) {
 }
 
 // PeriodNoSnapshot must behave exactly like Period on success — same
-// reports, same state advance — while skipping the internal per-tenant
-// model clones (the caller holds its own Snapshot).
+// reports, same state advance — while skipping Period's own Snapshot
+// (the caller holds one).
 func TestPeriodNoSnapshotMatchesPeriod(t *testing.T) {
 	run := func(noSnap bool) []*PeriodReport {
 		sc := newScenario()
-		m := NewManager(2, core.Options{Delta: 0.05})
+		m := NewManager(core.Options{Delta: 0.05})
 		var reports []*PeriodReport
 		for p := 0; p < 4; p++ {
 			if p == 2 {
@@ -586,7 +634,7 @@ func TestPeriodNoSnapshotMatchesPeriod(t *testing.T) {
 // retry behaves like the guarded variant's automatic rollback.
 func TestPeriodNoSnapshotRollsBackThroughManagerSnapshot(t *testing.T) {
 	sc := newScenario()
-	m := NewManager(2, core.Options{Delta: 0.05})
+	m := NewManager(core.Options{Delta: 0.05})
 	if _, err := m.Period(sc.inputs()); err != nil {
 		t.Fatal(err)
 	}

@@ -21,20 +21,17 @@ import (
 
 // StateExport is the serializable form of a manager's per-tenant state.
 type StateExport struct {
-	// Mode is the input-mode lock (0 unset, 1 positional, 2 ID-keyed).
-	Mode int
-	// IDs keys Tenants by tenant ID in ID-keyed mode (empty otherwise).
-	IDs []string
 	// Prev holds the previous period's deployed allocations (empty
 	// before the first period).
 	Prev []core.Allocation
-	// Tenants carries each tenant's accumulated refinement state, in
-	// the same order as IDs (or positional order).
+	// Tenants carries each tenant's ID and accumulated refinement state,
+	// in the last period's input order.
 	Tenants []TenantExport
 }
 
 // TenantExport is one tenant's serializable refinement state.
 type TenantExport struct {
+	ID         string
 	Model      *refine.ModelExport
 	PrevAvg    float64
 	PrevErr    float64
@@ -45,14 +42,11 @@ type TenantExport struct {
 // Export returns the manager's accumulated state as plain data. The
 // export is deep-copied: later periods leave it untouched.
 func (m *Manager) Export() *StateExport {
-	s := &StateExport{
-		Mode: int(m.mode),
-		IDs:  append([]string(nil), m.ids...),
-		Prev: cloneAllocs(m.prev),
-	}
+	s := &StateExport{Prev: refine.CloneAllocs(m.prev)}
 	s.Tenants = make([]TenantExport, len(m.tenants))
 	for i, ts := range m.tenants {
 		s.Tenants[i] = TenantExport{
+			ID:         ts.id,
 			Model:      ts.model.Export(),
 			PrevAvg:    ts.prevAvg,
 			PrevErr:    ts.prevErr,
@@ -71,36 +65,25 @@ func (m *Manager) Import(s *StateExport) error {
 	if s == nil {
 		return fmt.Errorf("dynmgmt: import: nil state")
 	}
-	mode := inputMode(s.Mode)
-	if mode < modeUnset || mode > modeKeyed {
-		return fmt.Errorf("dynmgmt: import: unknown input mode %d", s.Mode)
-	}
-	if mode == modeKeyed && len(s.IDs) != len(s.Tenants) {
-		return fmt.Errorf("dynmgmt: import: %d IDs for %d keyed tenants", len(s.IDs), len(s.Tenants))
-	}
-	if mode != modeKeyed && len(s.IDs) != 0 {
-		return fmt.Errorf("dynmgmt: import: %d IDs on a non-keyed manager", len(s.IDs))
-	}
 	if len(s.Prev) != 0 && len(s.Prev) != len(s.Tenants) {
 		return fmt.Errorf("dynmgmt: import: %d previous allocations for %d tenants", len(s.Prev), len(s.Tenants))
 	}
-	seen := make(map[string]bool, len(s.IDs))
-	for _, id := range s.IDs {
-		if id == "" {
-			return fmt.Errorf("dynmgmt: import: empty tenant ID on a keyed manager")
-		}
-		if seen[id] {
-			return fmt.Errorf("dynmgmt: import: duplicate tenant ID %q", id)
-		}
-		seen[id] = true
-	}
+	seen := make(map[string]bool, len(s.Tenants))
 	tenants := make([]*tenantState, len(s.Tenants))
 	for i, te := range s.Tenants {
+		if te.ID == "" {
+			return fmt.Errorf("dynmgmt: import: tenant %d has no ID", i)
+		}
+		if seen[te.ID] {
+			return fmt.Errorf("dynmgmt: import: duplicate tenant ID %q", te.ID)
+		}
+		seen[te.ID] = true
 		model, err := refine.ImportModel(te.Model)
 		if err != nil {
-			return fmt.Errorf("dynmgmt: import: tenant %d: %w", i, err)
+			return fmt.Errorf("dynmgmt: import: tenant %q: %w", te.ID, err)
 		}
 		tenants[i] = &tenantState{
+			id:         te.ID,
 			model:      model,
 			prevAvg:    te.PrevAvg,
 			prevErr:    te.PrevErr,
@@ -109,8 +92,6 @@ func (m *Manager) Import(s *StateExport) error {
 		}
 	}
 	m.tenants = tenants
-	m.ids = append([]string(nil), s.IDs...)
-	m.prev = cloneAllocs(s.Prev)
-	m.mode = mode
+	m.prev = refine.CloneAllocs(s.Prev)
 	return nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dynmgmt"
@@ -88,7 +90,10 @@ func (sc *dynamicScenario) tenant(i int) *Tenant {
 	return t
 }
 
-// input builds the dynmgmt PeriodInput for VM i.
+// input builds the dynmgmt PeriodInput for VM i. Its ID names the VM
+// slot, not the workload, so the manager's state belongs to the slot:
+// when the workloads trade VMs, each slot's per-query estimate jumps,
+// and §6.1 classifies the swap as a major change on both.
 func (sc *dynamicScenario) input(i int) (dynmgmt.PeriodInput, error) {
 	t := sc.tenant(i)
 	avg, err := t.Est.AvgEstimatePerQuery(core.Allocation{0.5})
@@ -96,6 +101,7 @@ func (sc *dynamicScenario) input(i int) (dynmgmt.PeriodInput, error) {
 		return dynmgmt.PeriodInput{}, err
 	}
 	return dynmgmt.PeriodInput{
+		ID:             fmt.Sprintf("vm%d", i),
 		Estimator:      t.Est,
 		AvgEstPerQuery: avg,
 		Measure: func(a core.Allocation) (float64, error) {
@@ -110,7 +116,7 @@ func (sc *dynamicScenario) input(i int) (dynmgmt.PeriodInput, error) {
 // improvement over the default split per period (Fig. 36).
 func dynamicRun(env *Env, id string, shares bool) (*Result, error) {
 	mkMgr := func(force bool) *dynmgmt.Manager {
-		m := dynmgmt.NewManager(2, core.Options{Resources: 1, Delta: 0.05, Parallelism: searchParallelism})
+		m := dynmgmt.NewManager(core.Options{Resources: 1, Delta: 0.05, Parallelism: searchParallelism})
 		m.ForceContinuous = force
 		return m
 	}

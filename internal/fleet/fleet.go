@@ -366,7 +366,7 @@ type machine struct {
 }
 
 func newMachine(opts Options, profile string, scores *score.Cache, met dynmgmt.Metrics) *machine {
-	m := &machine{mgr: dynmgmt.NewManager(0, opts.Core), scores: scores}
+	m := &machine{mgr: dynmgmt.NewManager(opts.Core), scores: scores}
 	m.mgr.Metrics = met
 	// The hook captures each period's advisor result for the fleet report
 	// and serves the run through the machine-score cache when every

@@ -26,13 +26,15 @@ package fleet
 // the period counter (META), the cell partition (TOPO: each server's
 // profile, then each cell's member list; a server's cell and local
 // index follow from the lists), the tenant assignment (ASSIGN), and
-// every machine manager's classification + refined-model state (MGRS);
-// USER carries the caller's blob. What is deliberately NOT serialized is
-// state a restored fleet rebuilds before reading it: stored cell
-// outcomes and the delta bookkeeping around them (per-cell input
-// sequences, settled bits, drift signatures) — a restored cell has no
-// stored outcome, so every occupied cell recomputes in the first resumed
-// period, bit-identically per delta.go's replay ≡ recompute invariant,
+// every machine manager's state (MGRS: per server, the previous
+// period's allocations, then each tenant's ID followed by its
+// classification and refined-model state); USER carries the caller's
+// blob. What is deliberately NOT serialized is state a restored fleet
+// rebuilds before reading it: stored cell outcomes and the delta
+// bookkeeping around them (per-cell input sequences, settled bits,
+// drift signatures) — a restored cell has no stored outcome, so every
+// occupied cell recomputes in the first resumed period,
+// bit-identically per delta.go's replay ≡ recompute invariant,
 // and that period rewrites the bookkeeping — plus machine-score cache
 // contents (deterministic re-runs).
 //
@@ -96,7 +98,7 @@ import (
 // other version is rejected.
 const (
 	snapMagic   = "VDFLEET\x00"
-	snapVersion = 4
+	snapVersion = 5
 )
 
 // Section IDs, in stream order.
@@ -402,17 +404,13 @@ func (o *Orchestrator) encodeManagers() []byte {
 }
 
 func encodeManagerState(e *SnapEncoder, s *dynmgmt.StateExport) {
-	e.I64(int64(s.Mode))
-	e.I64(int64(len(s.IDs)))
-	for _, id := range s.IDs {
-		e.Str(id)
-	}
 	e.I64(int64(len(s.Prev)))
 	for _, a := range s.Prev {
 		e.Alloc(a)
 	}
 	e.I64(int64(len(s.Tenants)))
 	for _, t := range s.Tenants {
+		e.Str(t.ID)
 		e.Bool(t.Model != nil)
 		if t.Model != nil {
 			encodeModel(e, t.Model)
@@ -738,18 +736,17 @@ func (st *snapState) parseMgrs(d *SnapDecoder) error {
 }
 
 func decodeManagerState(d *SnapDecoder) *dynmgmt.StateExport {
-	s := &dynmgmt.StateExport{Mode: int(d.I64())}
-	nIDs := d.Count(4)
-	for i := 0; i < nIDs && d.err == nil; i++ {
-		s.IDs = append(s.IDs, d.Str())
-	}
+	s := &dynmgmt.StateExport{}
 	nPrev := d.Count(8)
 	for i := 0; i < nPrev && d.err == nil; i++ {
 		s.Prev = append(s.Prev, d.Alloc())
 	}
-	nTen := d.Count(27)
+	// A tenant is at least its ID's length prefix, the model flag, two
+	// floats and two flags: a tenant without a model, as the §6.2 guard
+	// leaves one until its next period rebuilds it.
+	nTen := d.Count(4 + 1 + 8 + 8 + 1 + 1)
 	for i := 0; i < nTen && d.err == nil; i++ {
-		var t dynmgmt.TenantExport
+		t := dynmgmt.TenantExport{ID: d.Str()}
 		if d.Bool() {
 			t.Model = decodeModel(d)
 		}

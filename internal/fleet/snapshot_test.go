@@ -11,8 +11,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dynmgmt"
 )
 
 // snapSoakDriver scripts a deterministic churn scenario: per-period drift
@@ -326,9 +330,9 @@ func snapCorruptions(t testing.TB, raw []byte) []snapCorruption {
 	add("wrong version", mutate(func(c []byte) {
 		binary.LittleEndian.PutUint32(c[8:], snapVersion+41)
 	}), "version")
-	add("version 3 stream", mutate(func(c []byte) {
-		binary.LittleEndian.PutUint32(c[8:], 3)
-	}), "unsupported format version 3")
+	add("version 4 stream", mutate(func(c []byte) {
+		binary.LittleEndian.PutUint32(c[8:], 4)
+	}), "unsupported format version 4")
 	add("empty stream", nil, "magic")
 
 	// Truncations: inside the header, inside a mid-stream section, at
@@ -424,20 +428,73 @@ func snapCorruptions(t testing.TB, raw []byte) []snapCorruption {
 	add("EST row count past the bytes left", behindChecksum(est, func(c []byte) {
 		binary.LittleEndian.PutUint64(c[rowsAt:], 1<<40)
 	}), "EST")
+
+	// MGRS: the manager count, then per manager its previous allocations
+	// and each tenant's ID followed by its state. Walk the payload with
+	// the stream's own decoder to the first manager holding two tenants,
+	// recording where each tenant's ID (length prefix included) sits.
+	mgrs := frameOf(sectMgrs)
+	d := NewSnapDecoder(raw[mgrs.payloadStart:mgrs.payloadEnd])
+	var ids [][2]int // stream offsets [start, end) of each tenant's ID
+	for m, nm := 0, d.Count(4); m < nm && len(ids) < 2 && d.Err() == nil; m++ {
+		for i, n := 0, d.Count(8); i < n; i++ {
+			d.Alloc()
+		}
+		ids = ids[:0]
+		for i, n := 0, d.Count(4); i < n && d.Err() == nil; i++ {
+			start := mgrs.payloadStart + d.off
+			d.Str()
+			ids = append(ids, [2]int{start, mgrs.payloadStart + d.off})
+			if d.Bool() {
+				decodeModel(d)
+			}
+			d.F64()
+			d.F64()
+			d.Bool()
+			d.Bool()
+		}
+	}
+	if d.Err() != nil || len(ids) < 2 {
+		t.Fatalf("fixture snapshot has no manager with two tenants (%v)", d.Err())
+	}
+	// spliced replaces stream bytes [from, to) inside a section's payload
+	// and re-frames the section with the new length and checksum.
+	spliced := func(f snapFrame, from, to int, repl []byte) []byte {
+		payload := append(append(append([]byte(nil), raw[f.payloadStart:from]...), repl...), raw[to:f.payloadEnd]...)
+		var b bytes.Buffer
+		b.Write(raw[:f.start])
+		writeSection(&b, f.id, payload)
+		b.Write(raw[f.payloadEnd+4:])
+		return b.Bytes()
+	}
+	add("MGRS tenant with an empty ID", spliced(mgrs, ids[0][0], ids[0][1], make([]byte, 4)), "no ID")
+	add("MGRS tenant ID twice on one manager", spliced(mgrs, ids[1][0], ids[1][1], raw[ids[0][0]:ids[0][1]]), "duplicate tenant ID")
 	return out
 }
 
 // The corruption matrix: every damaged form of a valid snapshot must be
 // rejected with an error naming what is wrong, and no orchestrator.
 // Restore builds a fresh orchestrator only after full validation, so
-// rejection can never leave half-restored state.
+// rejection can never leave half-restored state: after every rejection
+// the pristine stream still restores to a fleet whose next period
+// reports as it did before.
 func TestFleetSnapshotCorruptionMatrix(t *testing.T) {
-	op, _, raw := snapFixture(t)
+	op, ins, raw := snapFixture(t)
 
-	// Control: the pristine stream restores.
-	if _, _, err := Restore(bytes.NewReader(raw), op, nil); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
+	// Control: the pristine stream restores and runs.
+	resume := func() *PeriodReport {
+		t.Helper()
+		o, _, err := Restore(bytes.NewReader(raw), op, nil)
+		if err != nil {
+			t.Fatalf("pristine snapshot rejected: %v", err)
+		}
+		rep, err := o.Period(ins)
+		if err != nil {
+			t.Fatalf("restored fleet failed its next period: %v", err)
+		}
+		return rep
 	}
+	want := resume()
 	for _, bad := range snapCorruptions(t, raw) {
 		ro, blob, err := Restore(bytes.NewReader(bad.stream), op, nil)
 		if err == nil {
@@ -449,6 +506,29 @@ func TestFleetSnapshotCorruptionMatrix(t *testing.T) {
 		if !strings.Contains(err.Error(), bad.want) {
 			t.Fatalf("%s: error %q does not name %q", bad.name, err, bad.want)
 		}
+	}
+	samePeriodReports(t, "restore after the rejections", []*PeriodReport{resume()}, []*PeriodReport{want})
+}
+
+// A manager whose tenants all lack a model — the §6.2 guard discards a
+// tenant's model and the rebuild waits for its next period — must
+// round-trip: the decoder's element-count bound may not assume a
+// tenant's bytes include a model.
+func TestManagerStateWithoutModelsRoundTrips(t *testing.T) {
+	s := &dynmgmt.StateExport{}
+	for i := 0; i < 8; i++ {
+		s.Prev = append(s.Prev, core.Allocation{0.125, 0.125})
+		s.Tenants = append(s.Tenants, dynmgmt.TenantExport{ID: fmt.Sprintf("t%d", i), PrevAvg: 1, PrevErr: 0.5, HasPrevErr: true})
+	}
+	var e SnapEncoder
+	encodeManagerState(&e, s)
+	d := NewSnapDecoder(e.Bytes())
+	got := decodeManagerState(d)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("decoding a valid manager state: %v", err)
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("manager state round-tripped as %+v, want %+v", got, s)
 	}
 }
 

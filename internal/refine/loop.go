@@ -72,7 +72,7 @@ func Run(initial *core.Result, cfg Config) (*Outcome, error) {
 		}
 		models[i] = md
 	}
-	out := &Outcome{Models: models, Allocations: cloneAllocs(initial.Allocations)}
+	out := &Outcome{Models: models, Allocations: CloneAllocs(initial.Allocations)}
 
 	// Every iteration deploys and measures an allocation, so the best
 	// observed deployment is known; the final answer keeps it. (The paper
@@ -82,10 +82,10 @@ func Run(initial *core.Result, cfg Config) (*Outcome, error) {
 	bestActual := -1.0
 	var bestAllocs []core.Allocation
 
-	current := cloneAllocs(initial.Allocations)
+	current := CloneAllocs(initial.Allocations)
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		rec := IterationRecord{
-			Allocations: cloneAllocs(current),
+			Allocations: CloneAllocs(current),
 			Est:         make([]float64, n),
 			Act:         make([]float64, n),
 		}
@@ -118,7 +118,7 @@ func Run(initial *core.Result, cfg Config) (*Outcome, error) {
 		out.History = append(out.History, rec)
 		if bestActual < 0 || total < bestActual {
 			bestActual = total
-			bestAllocs = cloneAllocs(current)
+			bestAllocs = CloneAllocs(current)
 		}
 
 		// Re-run the advisor over the refined models (no optimizer calls).
@@ -130,18 +130,19 @@ func Run(initial *core.Result, cfg Config) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sameAllocs(res.Allocations, current) {
+		if SameAllocs(res.Allocations, current) {
 			out.Allocations = bestAllocs
 			out.Converged = true
 			return out, nil
 		}
-		current = cloneAllocs(res.Allocations)
+		current = CloneAllocs(res.Allocations)
 	}
 	out.Allocations = bestAllocs
 	return out, nil
 }
 
-func cloneAllocs(in []core.Allocation) []core.Allocation {
+// CloneAllocs deep-copies an allocation vector.
+func CloneAllocs(in []core.Allocation) []core.Allocation {
 	out := make([]core.Allocation, len(in))
 	for i, a := range in {
 		out[i] = a.Clone()
@@ -149,7 +150,10 @@ func cloneAllocs(in []core.Allocation) []core.Allocation {
 	return out
 }
 
-func sameAllocs(a, b []core.Allocation) bool {
+// SameAllocs reports whether two allocation vectors agree within 1e-9 in
+// every share: §5's stopping rule, "the recommendation repeats", which
+// both this loop and dynamic management (§6) apply.
+func SameAllocs(a, b []core.Allocation) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -407,3 +407,97 @@ func TestModelScoreFingerprint(t *testing.T) {
 	// state they were taken from, and within a period every advisor run
 	// (the only cache writer) happens before any Observe.
 }
+
+// gapModel builds a two-plan model with a gap in memory between its
+// intervals: plan "ext" fitted over memory [0.1, 0.4] with cost
+// 4/cpu + 10/mem + 5, plan "mem" over [0.6, 0.9] with 4/cpu + 2/mem + 1.
+// At cpu 0.5 and memory 0.5, inside the gap, ext predicts 33 and mem 13.
+func gapModel(t *testing.T) *Model {
+	t.Helper()
+	var samples []core.Sample
+	for _, cpu := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		for _, mem := range []float64{0.1, 0.2, 0.3, 0.4} {
+			samples = append(samples, core.Sample{Alloc: core.Allocation{cpu, mem}, Seconds: 4/cpu + 10/mem + 5, PlanSig: "ext"})
+		}
+		for _, mem := range []float64{0.6, 0.7, 0.8, 0.9} {
+			samples = append(samples, core.Sample{Alloc: core.Allocation{cpu, mem}, Seconds: 4/cpu + 2/mem + 1, PlanSig: "mem"})
+		}
+	}
+	md, err := NewModel(samples, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(md.Intervals) != 2 || md.Intervals[0].Hi != 0.4 || md.Intervals[1].Lo != 0.6 {
+		t.Fatalf("want intervals [0.1,0.4] and [0.6,0.9]: %s", md)
+	}
+	return md
+}
+
+// §5.1's gap rule without an observation: a level inside an interval
+// belongs to it, and a level in the gap or past either end to the
+// nearer interval, whose plan and cost Estimate then reports.
+func TestLocateInsideAndGap(t *testing.T) {
+	md := gapModel(t)
+	for _, tc := range []struct {
+		mem  float64
+		want int
+	}{
+		{0.25, 0}, {0.75, 1}, // inside
+		{0.45, 0}, {0.55, 1}, // in the gap, nearer one side
+		{0.01, 0}, {0.99, 1}, // past either end
+	} {
+		if i := md.Locate(tc.mem); i != tc.want {
+			t.Fatalf("Locate(%v) = %d, want %d", tc.mem, i, tc.want)
+		}
+		a := core.Allocation{0.5, tc.mem}
+		est, plan, err := md.Estimate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv := md.Intervals[tc.want]
+		if plan != iv.Plan || est != iv.Eval(a) {
+			t.Fatalf("Estimate at memory %v = (%v, %q), want interval %d's (%v, %q)",
+				tc.mem, est, plan, tc.want, iv.Eval(a), iv.Plan)
+		}
+	}
+}
+
+// §5.1's gap rule with an observation in hand: Observe in the gap gives
+// the observation to the neighbour whose prediction is closer to the
+// actual cost and extends that interval to cover the level, leaving the
+// other neighbour's bounds alone; inside an interval, the observation
+// stays with it whatever the actual cost.
+func TestObserveInGapPicksCloserPrediction(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    core.Allocation
+		act  float64
+		pick int
+	}{
+		{"gap, actual near mem's 13", core.Allocation{0.5, 0.5}, 14, 1},
+		{"gap, actual near ext's 33", core.Allocation{0.5, 0.5}, 32, 0},
+		{"inside ext, actual near mem's", core.Allocation{0.5, 0.3}, 13, 0},
+	} {
+		md := gapModel(t)
+		md.FirstScaled = true // the later-iteration path
+		bounds := [2][2]float64{{md.Intervals[0].Lo, md.Intervals[0].Hi}, {md.Intervals[1].Lo, md.Intervals[1].Hi}}
+		if _, err := md.Observe(tc.a, tc.act); err != nil {
+			t.Fatal(err)
+		}
+		lvl := tc.a[1]
+		for i, iv := range md.Intervals {
+			lo, hi := bounds[i][0], bounds[i][1]
+			if i == tc.pick {
+				lo, hi = math.Min(lo, lvl), math.Max(hi, lvl)
+				if len(iv.Obs) != 1 || iv.Obs[0].Act != tc.act {
+					t.Fatalf("%s: interval %d should hold the observation: %+v", tc.name, i, iv.Obs)
+				}
+			} else if len(iv.Obs) != 0 {
+				t.Fatalf("%s: interval %d took the observation", tc.name, i)
+			}
+			if iv.Lo != lo || iv.Hi != hi {
+				t.Fatalf("%s: interval %d spans [%v, %v], want [%v, %v]", tc.name, i, iv.Lo, iv.Hi, lo, hi)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 // Package regress implements the small amount of numerical machinery the
 // virtualization design advisor needs: ordinary least squares in one and
-// many dimensions, solving small dense linear systems, and piecewise-linear
-// fits keyed by query-plan signatures.
+// many dimensions, and solving small dense linear systems.
 //
 // The paper uses linear regression in three places: renormalizing DB2
 // timerons to seconds (§4.2), fitting calibration functions that map
